@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Verify the deep levels (9 and 10) with per-stage timing.
 
-Level 9 with the error measurement takes seconds; level 10 needs roughly
-69 million constant digits for its error and runs for minutes. Successive
-levels scale at roughly 12x the memory and 24x the time.
+Level 9 with the error measurement takes about half a minute on the
+plain-int path (CPython 3.11, no gmpy2) and under three minutes with the
+next-level check; level 10 needs roughly 69 million constant digits for
+its error and runs for minutes.
 """
 
 import argparse

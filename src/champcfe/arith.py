@@ -1,12 +1,16 @@
 """Big-integer helpers shared by the digit and convergent machinery.
 
 Everything here works on plain Python ints. When gmpy2 is importable the
-radix conversions and large divisions are routed through GMP, which keeps
-the multi-million-digit runs (HWM #9 and #10) practical; without it the
-same code runs correct but slow above ~10^5 digits.
+radix conversions and large divisions are routed through GMP. Without it
+conversions above a few thousand digits go through _radix, which splits
+them in halves and stays sub-quadratic where CPython's own int/str
+conversions are quadratic.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 try:
     import gmpy2
@@ -16,16 +20,16 @@ except ImportError:  # pragma: no cover - exercised via the forced-fallback test
     gmpy2 = None
     HAVE_GMPY2 = False
 
+_LEAF = 3000  # digits converted by int()/str() directly; CPython is fast below this
+_LEAF_BITS = 10_000  # about _LEAF digits
+
 
 def mz(x):
     """Wrap an int for fast arithmetic (mpz when available, else identity)."""
     return gmpy2.mpz(x) if HAVE_GMPY2 else x
 
 
-def to_int(x) -> int:
-    return int(x)
-
-
+@functools.lru_cache(maxsize=32)
 def pow10(k: int):
     return mz(10) ** k if HAVE_GMPY2 else 10**k
 
@@ -41,7 +45,19 @@ def digit_count(n) -> int:
         if d > 1 and n < gmpy2.mpz(10) ** (d - 1):
             d -= 1
         return d
-    return len(str(int(n)))
+    bits = n.bit_length()
+    if bits <= _LEAF_BITS:
+        return len(str(n))
+    # 10**k <= n < 10**(k+1) for k = floor(log10(2**(bits-1))) or k+1; the
+    # loops only correct the float estimate and step across the boundary
+    k = int((bits - 1) * 0.30102999566398120)
+    p = pow10(k)
+    while n < p:
+        k, p = k - 1, p // 10
+    p *= 10
+    while n >= p:
+        k, p = k + 1, p * 10
+    return k + 1
 
 
 def to_digits(n) -> str:
@@ -50,14 +66,25 @@ def to_digits(n) -> str:
         raise ValueError("to_digits expects a non-negative integer")
     if HAVE_GMPY2:
         return gmpy2.mpz(n).digits(10)
-    return str(int(n))
+    n = int(n)
+    if n.bit_length() <= _LEAF_BITS:
+        return str(n)
+    from ._radix import int_to_digits  # loaded on first use
+
+    return int_to_digits(n)
 
 
 def from_digits(s: str) -> int:
-    """Parse a decimal digit string to int (much faster than int() via GMP)."""
+    """Parse a nonempty string of ASCII digits (leading zeros allowed) to int."""
+    if not (s.isascii() and s.isdigit()):
+        raise ValueError(f"not a decimal digit string: {s[:20]!r}")
     if HAVE_GMPY2:
         return int(gmpy2.mpz(s, 10))
-    return int(s, 10)
+    if len(s) <= _LEAF:
+        return int(s)
+    from ._radix import digits_to_int  # loaded on first use
+
+    return digits_to_int(s)
 
 
 def scaled_quotient(num, den, shift: int) -> int:
@@ -68,8 +95,6 @@ def scaled_quotient(num, den, shift: int) -> int:
 def gcd(a, b) -> int:
     if HAVE_GMPY2:
         return int(gmpy2.gcd(gmpy2.mpz(a), gmpy2.mpz(b)))
-    import math
-
     return math.gcd(int(a), int(b))
 
 

@@ -6,6 +6,7 @@ kept as an efficiency baseline.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Literal, Sequence
@@ -47,6 +48,10 @@ def numerator_for_hwm(n: int, prefix: DigitPrefix) -> int:
     """Numerator as the ceiling of denominator * prefix value, computed in
     integer arithmetic on exactly the required number of digits.
 
+    The denominator is mantissa * 10**shift with a short mantissa, so the
+    ceiling of mantissa * v * 10**(shift - p) takes a small multiply and a
+    power of ten of only |shift - p| digits.
+
     For n = 4 the half-scale identity applies: ceil(40.5 * 0.1) = 5, then
     doubled back to 10 over the true denominator 81.
     """
@@ -57,9 +62,10 @@ def numerator_for_hwm(n: int, prefix: DigitPrefix) -> int:
     if n == 4:
         half = -((-81 * v) // (2 * 10**p))  # ceil(81*v / (2*10^p))
         return 2 * half
-    product = arith.mz(hwm_denominator(n)) * arith.mz(v)
-    q, r = divmod(product, arith.pow10(p))
-    return int(q) + (1 if r else 0)
+    sci = predict.denominator_sci(n)
+    shift = sci.exponent - (len(sci.digits) - 1) - p
+    m = int(sci.digits) * v
+    return m * 10**shift if shift >= 0 else -(-m // 10**-shift)
 
 
 def hwm_convergent(n: int, prefix: DigitPrefix) -> tuple[int, int]:
@@ -177,15 +183,6 @@ class NumeratorTailReport:
 _NINES_RUNS = {5: 5, 7: 173, 9: 2690, 11: 35987}
 
 
-def _longest_nines_run(s: str) -> int:
-    best = run = 0
-    for ch in s:
-        run = run + 1 if ch == "9" else 0
-        if run > best:
-            best = run
-    return best
-
-
 def numerator_tail_checks(n: int, numerator: int) -> NumeratorTailReport:
     """Verify the numerator tail '4', n-5 zeroes, '9' (from n = 6 on) and
     the longest consecutive-nines run against the published counts."""
@@ -197,7 +194,7 @@ def numerator_tail_checks(n: int, numerator: int) -> NumeratorTailReport:
         tail_ok = s.endswith(tail)
     else:
         tail, tail_ok = None, None
-    nines = _longest_nines_run(s)
+    nines = max(map(len, re.findall("9+", s)), default=0)
     expected = _NINES_RUNS.get(n)
     return NumeratorTailReport(
         ends_with=tail,
@@ -216,26 +213,24 @@ def write_coefficients(terms: Iterable[int], fp: IO[str]) -> None:
         fp.write("\n")
 
 
-def read_coefficients(fp: IO[str]) -> list[int]:
-    terms = []
+def _coefficient_lines(fp: IO[str]) -> list[str]:
+    """The lines of a coefficient file, each checked to be ASCII [0-9]+ with
+    no leading zero except in 0 itself."""
+    lines = []
     for lineno, line in enumerate(fp):
         s = line.rstrip("\n")
-        if not s.isdigit():
+        if not (s.isascii() and s.isdigit()) or (s[0] == "0" and len(s) > 1):
             raise ValueError(f"line {lineno + 1}: not a decimal coefficient: {s!r}")
-        terms.append(arith.from_digits(s))
-    if not terms:
+        lines.append(s)
+    if not lines:
         raise ValueError("empty coefficient file")
-    return terms
+    return lines
+
+
+def read_coefficients(fp: IO[str]) -> list[int]:
+    return [arith.from_digits(s) for s in _coefficient_lines(fp)]
 
 
 def coefficient_digit_lengths(fp: IO[str]) -> list[int]:
     """Digit length per coefficient line, without parsing the values."""
-    lengths = []
-    for lineno, line in enumerate(fp):
-        s = line.rstrip("\n")
-        if not s.isdigit():
-            raise ValueError(f"line {lineno + 1}: not a decimal coefficient: {s!r}")
-        lengths.append(len(s))
-    if not lengths:
-        raise ValueError("empty coefficient file")
-    return lengths
+    return [len(s) for s in _coefficient_lines(fp)]

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import arith, cfe, generations, predict, verify
@@ -25,50 +24,42 @@ MAX_VERIFY_HWM = 10
 MAX_COMPUTE_HWM = 11
 
 
-@dataclass
-class RunConfig:
-    max_c10_digits: int = DEFAULT_DIGIT_BUDGET
-    guard_digits: int = 10
-    output_format: str = "text"
-    output_path: Path | None = None
-    compute_error: bool = False
-    deep: bool = False
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        budget = int(os.environ.get(ENV_BUDGET, DEFAULT_DIGIT_BUDGET))
-        if getattr(args, "max_digits", None):
-            budget = args.max_digits
-        return cls(
-            max_c10_digits=budget,
-            output_format=getattr(args, "format", "text"),
-            output_path=Path(args.out) if getattr(args, "out", None) else None,
-            compute_error=getattr(args, "error", False),
-            deep=getattr(args, "deep", False),
-        )
+GUARD_DIGITS = 10  # constant digits generated past the last reported error digit
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.output_path is not None:
-        config.output_path.write_text(text)
+def _digit_budget(flag: int | None) -> int:
+    """The --max-digits flag, else the environment override, else the default."""
+    if flag is None:
+        raw = os.environ.get(ENV_BUDGET, str(DEFAULT_DIGIT_BUDGET))
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError(f"{ENV_BUDGET} must be a non-negative integer, got {raw!r}")
+        flag = int(raw)
+    if flag < 0:
+        raise ValueError(f"the digit budget must be >= 0, got {flag}")
+    return flag
+
+
+def _emit(text: str, args: argparse.Namespace) -> None:
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _require_deep(n: int, config: RunConfig, ceiling: int, what: str) -> None:
+def _require_deep(n: int, args: argparse.Namespace, ceiling: int, what: str) -> None:
     if n > ceiling:
         raise ValueError(
             f"{what} for HWM #{n} is beyond the desk-scale budget (max {ceiling})"
         )
-    if n >= DEEP_HWM and not config.deep:
+    if n >= DEEP_HWM and not args.deep:
         raise ValueError(
             f"{what} for HWM #{n} takes minutes; pass --deep to confirm"
         )
 
 
-def cmd_digits(args: argparse.Namespace, config: RunConfig) -> int:
-    prefix = digits_up_to(args.position, max_digits=config.max_c10_digits)
-    _emit(prefix.digits + "\n", config)
+def cmd_digits(args: argparse.Namespace) -> int:
+    prefix = digits_up_to(args.position, max_digits=args.max_digits)
+    _emit(prefix.digits + "\n", args)
     return 0
 
 
@@ -123,16 +114,16 @@ def _format_record(record: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_predict(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_predict(args: argparse.Namespace) -> int:
     record = _prediction_record(args.hwm, args.child)
-    _emit(_format_record(record, config.output_format), config)
+    _emit(_format_record(record, args.format), args)
     return 0
 
 
-def cmd_compute(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_compute(args: argparse.Namespace) -> int:
     n = args.hwm
-    _require_deep(n, config, MAX_COMPUTE_HWM, "coefficient computation")
-    prefix = digits_up_to(cfe.required_prefix_position(n), max_digits=config.max_c10_digits)
+    _require_deep(n, args, MAX_COMPUTE_HWM, "coefficient computation")
+    prefix = digits_up_to(cfe.required_prefix_position(n), max_digits=args.max_digits)
     num, den = cfe.hwm_convergent(n, prefix)
     terms = cfe.cfe_extract(num, den, final_index_parity="odd")
     with open(args.out, "w", newline="") as fp:
@@ -157,21 +148,21 @@ def _profile_text(profile_dict: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     n = args.hwm
-    _require_deep(n, config, MAX_VERIFY_HWM, "verification")
+    _require_deep(n, args, MAX_VERIFY_HWM, "verification")
     profile = verify.verify_hwm(
         n,
         compute_error=args.error,
         check_next_hwm=not args.no_next,
-        guard_digits=config.guard_digits,
-        max_digits=config.max_c10_digits,
+        guard_digits=GUARD_DIGITS,
+        max_digits=args.max_digits,
     )
     payload = profile.as_dict()
-    if config.output_format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", config)
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2) + "\n", args)
     else:
-        _emit(_profile_text(payload), config)
+        _emit(_profile_text(payload), args)
     return 0 if profile.status == verify.CONFIRMED else 2
 
 
@@ -183,12 +174,12 @@ def _load_thresholds(path: str | None) -> generations.ScanThresholds | None:
     return generations.ScanThresholds({int(k): int(v) for k, v in raw.items()})
 
 
-def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_classify(args: argparse.Namespace) -> int:
     with open(args.coefficients) as fp:
         lengths = cfe.coefficient_digit_lengths(fp)
     thresholds = _load_thresholds(args.thresholds)
     entries = generations.classify(lengths, thresholds=thresholds)
-    fmt = config.output_format
+    fmt = args.format
     if fmt == "json":
         payload = [
             {
@@ -198,19 +189,19 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
             }
             for e in entries
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", config)
+        _emit(json.dumps(payload, indent=2) + "\n", args)
     elif fmt == "csv":
         rows = ["index,length,generation"]
         rows += [
             f"{e.coefficient_index},{e.digit_length},{e.generation}" for e in entries
         ]
-        _emit("\n".join(rows) + "\n", config)
+        _emit("\n".join(rows) + "\n", args)
     else:
         rows = [
             f"{e.coefficient_index:>8}  {e.digit_length:>12}  gen {e.generation}"
             for e in entries
         ]
-        _emit("\n".join(rows) + "\n", config)
+        _emit("\n".join(rows) + "\n", args)
     scan = generations.child_positions(entries)
     if scan.violations:
         for v in scan.violations:
@@ -219,26 +210,26 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_child(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_child(args: argparse.Namespace) -> int:
     with open(args.coefficients) as fp:
         terms = cfe.read_coefficients(fp)
     profile = verify.verify_child(
         args.coefficient_index,
         terms,
-        guard_digits=config.guard_digits,
-        max_digits=config.max_c10_digits,
+        guard_digits=GUARD_DIGITS,
+        max_digits=args.max_digits,
     )
     payload = profile.as_dict()
-    if config.output_format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", config)
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2) + "\n", args)
     else:
-        _emit(_profile_text(payload), config)
+        _emit(_profile_text(payload), args)
     return 0 if profile.status == verify.CONFIRMED else 2
 
 
-def cmd_bench(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_bench(args: argparse.Namespace) -> int:
     n_max = args.max_hwm
-    _require_deep(n_max, config, MAX_COMPUTE_HWM, "benchmarking")
+    _require_deep(n_max, args, MAX_COMPUTE_HWM, "benchmarking")
     rows = []
     previous = None
     for n in range(4, n_max + 1):
@@ -247,13 +238,13 @@ def cmd_bench(args: argparse.Namespace, config: RunConfig) -> int:
         need = p
         if args.error:
             err = predict.error_profile(n)
-            need = max(need, -err.exponent + len(err.digits) + 1 + config.guard_digits)
-        truth = digits_up_to(need, max_digits=config.max_c10_digits)
+            need = max(need, -err.exponent + len(err.digits) + 1 + GUARD_DIGITS)
+        truth = digits_up_to(need, max_digits=args.max_digits)
         num, den = cfe.hwm_convergent(n, truth)
         terms = cfe.cfe_extract(num, den, final_index_parity="odd")
         if args.error:
             err_obs = verify.measure_error(
-                num, den, truth, mantissa_digits=n - 2, guard_digits=config.guard_digits
+                num, den, truth, mantissa_digits=n - 2, guard_digits=GUARD_DIGITS
             )
         elapsed = time.perf_counter() - start
         total = sum(arith.digit_count(t) for t in terms)
@@ -269,7 +260,7 @@ def cmd_bench(args: argparse.Namespace, config: RunConfig) -> int:
     note = (
         "# reference scaling: roughly 12x memory and 24x time per level\n"
     )
-    _emit(note + header + "\n" + "\n".join(rows) + "\n", config)
+    _emit(note + header + "\n" + "\n".join(rows) + "\n", args)
     return 0
 
 
@@ -344,9 +335,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    config = RunConfig.from_args(args)
     try:
-        return args.handler(args, config)
+        args.max_digits = _digit_budget(args.max_digits)
+        return args.handler(args)
     except generations.AnchorError as exc:
         # the prediction failed against the data: a result, not a malfunction
         print(f"violation: {exc}", file=sys.stderr)

@@ -15,8 +15,6 @@ from . import arith
 
 DEFAULT_DIGIT_BUDGET = 10**8
 
-_GEN_CHUNK = 1_000_000  # integers per generation chunk
-
 
 class DigitBudgetError(Exception):
     """Requested digit count exceeds the configured budget."""
@@ -91,8 +89,9 @@ def locate_position(p: int) -> DigitLocation:
 def digits_up_to(p: int, max_digits: int = DEFAULT_DIGIT_BUDGET) -> DigitPrefix:
     """First p fractional digits of the constant, preceded by the leading '0'.
 
-    Generation is chunked string concatenation over consecutive integers,
-    linear in p.
+    Generation is string concatenation over consecutive integers, one
+    chunk per block of equal-width integers, sized to the request: linear
+    in p.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
@@ -100,11 +99,11 @@ def digits_up_to(p: int, max_digits: int = DEFAULT_DIGIT_BUDGET) -> DigitPrefix:
         raise DigitBudgetError(requested=p, budget=max_digits)
     parts = ["0"]
     total = 1
-    n = 1
+    n, width = 1, 1
     while total <= p:
-        hi = n + _GEN_CHUNK
-        chunk = "".join(map(str, range(n, hi)))
-        parts.append(chunk)
-        total += len(chunk)
-        n = hi
+        # the integers of this width still needed, up to the end of the block
+        hi = min(10**width, n + (p - total) // width + 1)
+        parts.append("".join(map(str, range(n, hi))))
+        total += (hi - n) * width
+        n, width = hi, width + 1
     return DigitPrefix("".join(parts)[: p + 1])

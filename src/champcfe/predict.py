@@ -15,6 +15,7 @@ strings with exponents (SciDecimal), never as binary floats.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .digits import position_of_power
@@ -220,19 +221,13 @@ def parse_denominator_shape(digit_string: str) -> DenominatorShape:
     if not digit_string or not digit_string.isdigit():
         raise ValueError("denominator must be a nonempty digit string")
     stripped = digit_string.rstrip("0")
-    zeroes = len(digit_string) - len(stripped)
-    best_len = best_end = 0
-    run = 0
-    for i, ch in enumerate(stripped):
-        run = run + 1 if ch == "9" else 0
-        if run > best_len:
-            best_len, best_end = run, i
-    if best_len == 0:
+    # the first of the longest runs, as max() keeps the first maximal element
+    best = max(re.finditer("9+", stripped), key=lambda m: m.end() - m.start(), default=None)
+    if best is None:
         raise ValueError("no nine run found; not a child-convergent denominator")
-    start = best_end - best_len + 1
     return DenominatorShape(
-        preamble=stripped[:start],
-        nines_count=best_len,
-        penultimate=stripped[best_end + 1 :],
-        zeroes_count=zeroes,
+        preamble=stripped[: best.start()],
+        nines_count=best.end() - best.start(),
+        penultimate=stripped[best.end() :],
+        zeroes_count=len(digit_string) - len(stripped),
     )

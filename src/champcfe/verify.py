@@ -10,17 +10,17 @@ machine-readable field diff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
-from . import arith, cfe, predict
+from . import arith, cfe, generations, predict
 from .digits import (
     DEFAULT_DIGIT_BUDGET,
+    DigitBudgetError,
     DigitLocation,
     DigitPrefix,
     digits_up_to,
     locate_position,
-    position_of_integer,
 )
 from .predict import SciDecimal
 
@@ -55,6 +55,10 @@ class FieldCheck:
         }
 
 
+def _check(name: str, predicted, observed) -> FieldCheck:
+    return FieldCheck(name, predicted, observed, predicted == observed)
+
+
 def _jsonable(value):
     if isinstance(value, SciDecimal):
         return str(value)
@@ -80,21 +84,53 @@ def long_divide(
     if ndigits < 1:
         raise ValueError("ndigits must be >= 1")
     if ndigits > max_digits:
-        from .digits import DigitBudgetError
-
         raise DigitBudgetError(requested=ndigits, budget=max_digits)
     q = arith.scaled_quotient(numerator, denominator, ndigits)
     return arith.to_digits(q).rjust(ndigits, "0")
 
 
-def _expansion_mismatch(
-    numerator: int, denominator: int, truth: DigitPrefix, limit: int
-) -> tuple[int | None, str]:
-    """Expand numerator/denominator to min(limit, len(truth)) positions and
-    return (first differing position, the expansion window)."""
-    w = min(limit, truth.last_position)
-    conv = "0" + long_divide(numerator, denominator, w, max_digits=w)
-    return arith.first_difference(conv, truth.digits[: w + 1]), conv
+def _residual(numerator: int, denominator: int, truth: DigitPrefix) -> int:
+    """num·10^P − V·den for the truncation V/10^P of the constant: the one
+    exact quantity that every digit-level observation is read from."""
+    v = truth.as_scaled_integer()
+    return numerator * arith.pow10(truth.last_position) - v * denominator
+
+
+def _first_failure(
+    numerator: int, denominator: int, truth: DigitPrefix, diff: int, tail_len: int = 0
+) -> tuple[int, DigitLocation, int, str] | None:
+    """(first position where the expansion of numerator/denominator leaves
+    truth, where that digit lives, what the expansion reads in place of the
+    failing integer, tail_len expansion digits from that position), or None
+    when the expansion matches every digit of truth.
+
+    floor(num·10^P/den) = V + floor(diff/den), and that carry is small, so
+    the expansion differs from truth only in a short low end: widen it until
+    the carry stops inside it, and never expand the whole window.
+    """
+    if denominator <= 0:
+        raise ValueError("denominator must be positive")
+    if not 0 <= numerator < denominator:
+        raise ValueError("value must lie in [0, 1)")
+    carry = diff // denominator
+    if not carry:
+        return None
+    size = len(truth.digits)
+    w = arith.digit_count(abs(carry)) + 1
+    while True:
+        w = min(w, size)
+        low = arith.from_digits(truth.digits[size - w :]) + carry
+        if 0 <= low < 10**w:  # always true once w == size, as 0 <= V + carry < 10^P
+            break
+        w *= 2
+    base = size - w
+    conv = arith.to_digits(low).rjust(w, "0")
+    pos = base + arith.first_difference(conv, truth.digits[base:])
+    loc = locate_position(pos)
+    start = pos - loc.digit_ordinal + 1  # first digit of the failing integer
+    conv = truth.digits[start:base] + conv[max(0, start - base) :]
+    fails_as = int(conv[: len(str(loc.integer))])
+    return pos, loc, fails_as, conv[pos - start : pos - start + tail_len]
 
 
 def measure_ncd(
@@ -102,13 +138,14 @@ def measure_ncd(
 ) -> tuple[int, DigitLocation]:
     """Number of correct digits (the position of the first wrong one,
     counting the leading '0') and where that digit lives."""
-    pos, _ = _expansion_mismatch(numerator, denominator, truth, truth.last_position)
-    if pos is None:
+    diff = _residual(numerator, denominator, truth)
+    found = _first_failure(numerator, denominator, truth, diff)
+    if found is None:
         raise InsufficientTruthError(
             required=truth.last_position + 2,
             detail="no mismatch within the supplied digits",
         )
-    return pos, locate_position(pos)
+    return found[0], found[1]
 
 
 def measure_error(
@@ -130,22 +167,25 @@ def measure_error(
     """
     if mantissa_digits < 1:
         raise ValueError("mantissa_digits must be >= 1")
-    v = truth.as_scaled_integer()
-    p = truth.last_position
-    diff = arith.mz(numerator) * arith.pow10(p) - arith.mz(v) * arith.mz(denominator)
+    diff = _residual(numerator, denominator, truth)
+    return _error(diff, denominator, truth.last_position, mantissa_digits, guard_digits)
+
+
+def _error(
+    diff: int, denominator: int, p: int, mantissa_digits: int, guard_digits: int
+) -> SciDecimal:
+    """measure_error from the residual diff of a prefix ending at position p."""
     if diff == 0:
         raise InsufficientTruthError(
             required=p + 2, detail="convergent equals the truncation exactly"
         )
     sign = 1 if diff > 0 else -1
     ad = -diff if diff < 0 else diff
-    dv = arith.mz(denominator) * arith.pow10(p)
-    e0 = arith.digit_count(ad) - arith.digit_count(dv)
-    shift = mantissa_digits - e0
-    if shift >= 0:
-        t = (ad * arith.pow10(shift)) // dv
-    else:
-        t = ad // (dv * arith.pow10(-shift))
+    # the error is ad / (den·10^p); its leading digits take a power of ten
+    # about the size of the mantissa, not of 10^p
+    e0 = arith.digit_count(ad) - arith.digit_count(denominator) - p
+    k = mantissa_digits - e0 - p
+    t = ad * 10**k // denominator if k >= 0 else ad // denominator // 10**-k
     ts = arith.to_digits(t)
     exponent = e0 + (len(ts) - 1 - mantissa_digits)
     required = max(0, -exponent) + mantissa_digits + guard_digits
@@ -182,25 +222,12 @@ class ConvergentProfile:
         return [c for c in self.checks if not c.ok]
 
     def as_dict(self) -> dict:
-        return {
-            "profile_version": PROFILE_VERSION,
-            "kind": "hwm",
-            "hwm_n": self.hwm_n,
-            "coefficient_index": self.coefficient_index,
-            "observed_ncd": self.observed_ncd,
-            "predicted_ncd": self.predicted_ncd,
-            "first_fail": _jsonable(self.first_fail),
-            "fails_as": self.fails_as,
-            "error_observed": _jsonable(self.error_observed),
-            "error_predicted": _jsonable(self.error_predicted),
-            "denominator_digits": self.denominator_digits,
-            "coefficient_count": self.coefficient_count,
-            "total_coefficient_digits": self.total_coefficient_digits,
-            "c10_digits_used": self.c10_digits_used,
-            "next_hwm_length": self.next_hwm_length,
-            "status": self.status,
-            "checks": [c.as_dict() for c in self.checks],
-        }
+        d = {"profile_version": PROFILE_VERSION, "kind": "hwm"}
+        for f in fields(self)[:-1]:  # every field but checks, in declaration order
+            d[f.name] = _jsonable(getattr(self, f.name))
+        d["status"] = self.status
+        d["checks"] = [c.as_dict() for c in self.checks]
+        return d
 
 
 def verify_hwm(
@@ -230,8 +257,7 @@ def verify_hwm(
     p_den_digits = predict.denominator_digit_count(n)
 
     prefix_pos = cfe.required_prefix_position(n)
-    scan_limit = p_ncd + len(p_tail) + 64
-    need = max(prefix_pos, scan_limit)
+    need = max(prefix_pos, p_ncd + len(p_tail) + 64)
     if compute_error:
         need = max(need, (p_ncd + n - 2) + len(p_err.digits) + 1 + guard_digits)
     if check_next_hwm:
@@ -245,86 +271,48 @@ def verify_hwm(
     k = len(terms)
     total_digits = sum(arith.digit_count(t) for t in terms)
 
-    pos, conv = _expansion_mismatch(num, den, truth, scan_limit)
-    if pos is None:
-        # prediction undershoots; rescan across everything we generated
-        pos, conv = _expansion_mismatch(num, den, truth, truth.last_position)
-        if pos is None:
-            raise InsufficientTruthError(
-                required=truth.last_position + 2,
-                detail="no mismatch found; expansion window exhausted",
-            )
-    loc = locate_position(pos)
-    obs_tail = conv[pos : pos + len(p_tail)]
-    fail_start = position_of_integer(loc.integer)
-    fail_width = len(str(loc.integer))
-    fails_as = int(conv[fail_start : fail_start + fail_width])
+    diff = _residual(num, den, truth)
+    found = _first_failure(num, den, truth, diff, len(p_tail))
+    if found is None:
+        raise InsufficientTruthError(
+            required=truth.last_position + 2,
+            detail="no mismatch found; expansion window exhausted",
+        )
+    pos, loc, fails_as, obs_tail = found
 
+    den_digits = arith.digit_count(den)
+    parity = "even" if predict.parity_consistent(k) else "odd"
     checks = [
-        FieldCheck("ncd", p_ncd, pos, pos == p_ncd),
-        FieldCheck("failing_integer", p_fail, loc.integer, loc.integer == p_fail),
-        FieldCheck("fails_as", p_fails_as, fails_as, fails_as == p_fails_as),
-        FieldCheck("failure_tail", p_tail, obs_tail, obs_tail == p_tail),
-        FieldCheck(
-            "denominator_digits",
-            p_den_digits,
-            arith.digit_count(den),
-            arith.digit_count(den) == p_den_digits,
-        ),
-        FieldCheck("lowest_terms", True, coprime, coprime),
-        FieldCheck(
-            "coefficient_parity",
-            "even",
-            "even" if predict.parity_consistent(k) else "odd",
-            predict.parity_consistent(k),
-        ),
+        _check("ncd", p_ncd, pos),
+        _check("failing_integer", p_fail, loc.integer),
+        _check("fails_as", p_fails_as, fails_as),
+        _check("failure_tail", p_tail, obs_tail),
+        _check("denominator_digits", p_den_digits, den_digits),
+        _check("lowest_terms", True, coprime),
+        _check("coefficient_parity", "even", parity),
     ]
 
     err_obs = None
     if compute_error:
-        err_obs = measure_error(
-            num, den, truth, mantissa_digits=len(p_err.digits) + 1, guard_digits=guard_digits
-        )
-        rounded = err_obs.round_to(len(p_err.digits))
-        checks.append(FieldCheck("error", p_err, rounded, rounded == p_err))
+        err_obs = _error(diff, den, truth.last_position, len(p_err.digits) + 1, guard_digits)
+        checks.append(_check("error", p_err, err_obs.round_to(len(p_err.digits))))
 
-    if n >= 6:
+    if n >= 5:
         tails = cfe.numerator_tail_checks(n, num)
-        checks.append(
-            FieldCheck("numerator_tail", tails.ends_with, tails.tail_ok, bool(tails.tail_ok))
-        )
+        if tails.ends_with is not None:
+            ok = tails.tail_ok
+            checks.append(FieldCheck("numerator_tail", tails.ends_with, ok, ok))
         if tails.expected_nines_run is not None:
-            checks.append(
-                FieldCheck(
-                    "nines_run",
-                    tails.expected_nines_run,
-                    tails.longest_nines_run,
-                    bool(tails.nines_run_ok),
-                )
-            )
-    elif n == 5:
-        tails = cfe.numerator_tail_checks(n, num)
-        checks.append(
-            FieldCheck(
-                "nines_run",
-                tails.expected_nines_run,
-                tails.longest_nines_run,
-                bool(tails.nines_run_ok),
-            )
-        )
+            nines = tails.longest_nines_run
+            checks.append(_check("nines_run", tails.expected_nines_run, nines))
 
     next_len = None
     if check_next_hwm:
         num2 = cfe.numerator_for_hwm(n + 1, truth)
-        den2 = cfe.hwm_denominator(n + 1)
-        terms2 = cfe.cfe_extract(num2, den2, final_index_parity="odd")
-        stable = terms2[:k] == terms
+        terms2 = cfe.cfe_extract(num2, cfe.hwm_denominator(n + 1), final_index_parity="odd")
         next_len = arith.digit_count(terms2[k])
-        p_next_len = predict.hwm_length(n)
-        checks.append(FieldCheck("prefix_stability", True, stable, stable))
-        checks.append(
-            FieldCheck("hwm_length", p_next_len, next_len, next_len == p_next_len)
-        )
+        checks.append(_check("prefix_stability", True, terms2[:k] == terms))
+        checks.append(_check("hwm_length", predict.hwm_length(n), next_len))
 
     return ConvergentProfile(
         hwm_n=n,
@@ -335,7 +323,7 @@ def verify_hwm(
         fails_as=fails_as,
         error_observed=err_obs,
         error_predicted=p_err,
-        denominator_digits=arith.digit_count(den),
+        denominator_digits=den_digits,
         coefficient_count=k,
         total_coefficient_digits=total_digits,
         c10_digits_used=prefix_pos + 1,
@@ -397,25 +385,6 @@ class ChildProfile:
         }
 
 
-def _hwm_number_before(lengths: Sequence[int], index: int) -> int:
-    """HWM number of the last first-generation maximum before index.
-
-    The running length maxima land at coefficients 0, 4, 18, 40, ...; the
-    conventional numbering calls index 4 HWM #4 (indices 1 and 2 of the
-    classic value-based count never exceed one digit), so maxima after the
-    seed are numbered 4, 5, 6, ...
-    """
-    best = 0
-    rank = 0
-    for i in range(1, min(index, len(lengths))):
-        if lengths[i] > lengths[best]:
-            best = i
-            rank += 1
-    if rank == 0:
-        raise ValueError("no first-generation maximum precedes the index")
-    return rank + 3
-
-
 def verify_child(
     coefficient_index: int,
     terms: Sequence[int],
@@ -432,7 +401,10 @@ def verify_child(
     if not 1 <= k <= len(terms):
         raise ValueError("coefficient index outside the supplied list")
     lengths = [arith.digit_count(t) for t in terms[: k + 1]]
-    m = _hwm_number_before(lengths, k)
+    maxima = generations.find_hwms(lengths[:k])
+    if len(maxima) < 2:
+        raise ValueError("no first-generation maximum precedes the index")
+    m = generations.hwm_numbers(maxima)[maxima[-1].coefficient_index]
     if m < 6:
         raise ValueError("children are predicted only after HWM #6")
 
@@ -447,48 +419,27 @@ def verify_child(
     need = exp + len(p_err.digits) + 1 + guard_digits
     truth = digits_up_to(need, max_digits=max_digits)
 
-    err_obs = measure_error(
-        num, den, truth, mantissa_digits=len(p_err.digits) + 1, guard_digits=guard_digits
-    )
-    rounded = err_obs.round_to(len(p_err.digits))
-
-    pos, conv = _expansion_mismatch(num, den, truth, exp + 32)
-    if pos is None:
+    diff = _residual(num, den, truth)
+    err_obs = _error(diff, den, truth.last_position, len(p_err.digits) + 1, guard_digits)
+    found = _first_failure(num, den, truth, diff)
+    if found is None or found[0] > exp + 32:
         raise InsufficientTruthError(required=exp + 34)
-    loc = locate_position(pos)
-    fail_start = position_of_integer(loc.integer)
-    fail_width = len(str(loc.integer))
-    fails_as = int(conv[fail_start : fail_start + fail_width])
+    pos, loc, fails_as, _ = found
 
     shape = predict.parse_denominator_shape(arith.to_digits(den))
-
+    parity = "odd" if predict.parity_consistent(k, generation=2) else "even"
     checks = [
-        FieldCheck("error", p_err, rounded, rounded == p_err),
-        FieldCheck("failing_position", exp - 1, pos, pos == exp - 1),
-        FieldCheck(
-            "coefficient_parity",
-            "odd",
-            "odd" if predict.parity_consistent(k, generation=2) else "even",
-            predict.parity_consistent(k, generation=2),
-        ),
-        FieldCheck(
-            "shape_lengths",
-            list(p_shape.lengths()),
-            list(shape.lengths()),
-            shape.lengths() == p_shape.lengths(),
-        ),
-        FieldCheck(
-            "shape_total_length",
-            p_shape.total_length,
-            shape.total_length,
-            shape.total_length == p_shape.total_length,
-        ),
+        _check("error", p_err, err_obs.round_to(len(p_err.digits))),
+        _check("failing_position", exp - 1, pos),
+        _check("coefficient_parity", "odd", parity),
+        _check("shape_lengths", list(p_shape.lengths()), list(shape.lengths())),
+        _check("shape_total_length", p_shape.total_length, shape.total_length),
     ]
 
     child_len = None
     if k < len(terms):
         child_len = lengths[k]
-        checks.append(FieldCheck("child_length", p_len, child_len, child_len == p_len))
+        checks.append(_check("child_length", p_len, child_len))
 
     return ChildProfile(
         coefficient_index=k,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,3 +83,57 @@ class TestFallback:
         p = verify_hwm(5)
         assert p.status == "confirmed"
         assert p.observed_ncd == 187
+
+
+# The divide-and-conquer conversions against CPython's own int()/str(),
+# on both sides of every split size they use.
+LEAF = 3000
+SPLIT_SIZES = [1, 2, 17, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF, 2 * LEAF + 1, 4 * LEAF + 7, 20_011]
+
+
+@pytest.mark.parametrize("size", SPLIT_SIZES)
+def test_conversions_across_split_sizes(size):
+    rng = random.Random(size)
+    for lead in "19":
+        s = lead + "".join(rng.choice("0123456789") for _ in range(size - 1))
+        n = int(s)
+        assert arith.from_digits(s) == n
+        assert arith.from_digits("000" + s) == n
+        assert arith.to_digits(n) == s
+        assert arith.digit_count(n) == size
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 300, 2999, 3000, 3001, 3010, 3011, 6021, 10**4, 30_103])
+def test_powers_of_ten_and_neighbours(k):
+    for n in (10**k - 1, 10**k, 10**k + 1):
+        s = str(n)
+        assert arith.digit_count(n) == len(s)
+        assert arith.to_digits(n) == s
+        assert arith.from_digits(s) == n
+
+
+def test_powers_of_ten_at_one_hundred_thousand_digits():
+    k = 10**5
+    for n in (10**k - 1, 10**k, 10**k + 1):
+        assert arith.digit_count(n) == len(str(n))
+    n = 10**k + 1
+    assert arith.to_digits(n) == "1" + "0" * (k - 1) + "1"
+    assert arith.from_digits("9" * k) == 10**k - 1
+
+
+@given(bits=st.integers(min_value=1, max_value=80_000), seed=st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_random_conversions_match_int_and_str(bits, seed):
+    n = random.Random(seed).getrandbits(bits)
+    s = str(n)
+    assert arith.digit_count(n) == len(s)
+    assert arith.to_digits(n) == s
+    assert arith.from_digits(s) == n
+
+
+@pytest.mark.parametrize(
+    "bad", ["", "+5", "-5", " 12", "12 ", "1_000", "٣", "1" * 5000 + " " + "2" * 5000]
+)
+def test_from_digits_accepts_ascii_digits_only(bad):
+    with pytest.raises(ValueError):
+        arith.from_digits(bad)

@@ -21,6 +21,7 @@ from champcfe import (
     required_prefix_position,
     write_coefficients,
 )
+from champcfe.cfe import coefficient_digit_lengths
 
 # the coefficients of the convergent before HWM #5, verbatim
 LEVEL5_TERMS = [0, 8, 9, 1, 149083, 1, 1, 1, 4, 1, 1, 1, 3, 4, 1, 1, 1, 15]
@@ -200,3 +201,13 @@ class TestCoefficientFiles:
             read_coefficients(io.StringIO("12\n\n9\n"))
         with pytest.raises(ValueError):
             read_coefficients(io.StringIO(""))
+
+    @pytest.mark.parametrize("line", ["\u0663", "1\u0663", "0008", "00", "+7", "7 ", "1_0"])
+    def test_grammar_is_strict_ascii_without_leading_zeros(self, line):
+        for reader in (read_coefficients, coefficient_digit_lengths):
+            with pytest.raises(ValueError, match="line 2"):
+                reader(io.StringIO(f"0\n{line}\n"))
+
+    def test_zero_is_a_coefficient(self):
+        assert read_coefficients(io.StringIO("0\n10\n")) == [0, 10]
+        assert coefficient_digit_lengths(io.StringIO("0\n10\n")) == [1, 2]

@@ -35,6 +35,27 @@ class TestDigits:
         assert code == 1
         assert "budget" in err
 
+    def test_zero_budget_flag_is_honoured(self, capsys):
+        code, out, err = run(capsys, "--max-digits", "0", "digits", "--position", "20")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_negative_budget_flag_is_rejected(self, capsys):
+        # predict needs no digits, so only the intake itself can refuse it
+        code, out, err = run(capsys, "--max-digits", "-5", "predict", "--hwm", "5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the digit budget") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "", "1e6", " 7", "1_000"])
+    def test_malformed_budget_env_is_an_error_line(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("CHAMPCFE_MAX_DIGITS", value)
+        code, out, err = run(capsys, "predict", "--hwm", "5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: CHAMPCFE_MAX_DIGITS") and err.count("\n") == 1
+
 
 class TestPredict:
     def test_json_level12(self, capsys):
@@ -193,6 +214,18 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--coefficients", str(bad))
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("line", ["\u0663", "0008", "+7", " 7"])
+    def test_non_ascii_and_padded_lines_are_rejected(self, capsys, tmp_path, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"12\n{line}\n", encoding="utf-8")
+        for argv in (
+            ("classify", "--coefficients", str(bad)),
+            ("child", "--coefficient-index", "1", "--coefficients", str(bad)),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1
+            assert err.startswith("error: line 2:") and err.count("\n") == 1
 
 
 class TestChild:

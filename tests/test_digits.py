@@ -72,6 +72,20 @@ def test_digits_match_naive_oracle():
         assert digits_up_to(p).digits == naive_concatenation(p)
 
 
+def test_sized_generation_matches_naive_oracle_at_every_short_length():
+    for p in range(201):
+        assert digits_up_to(p).digits == naive_concatenation(p)
+
+
+@pytest.mark.parametrize("boundary", [10, 100, 10_000])
+def test_sized_generation_across_block_boundaries(boundary):
+    # the first digit of `boundary` starts a block of wider integers
+    start = position_of_integer(boundary)
+    oracle = naive_concatenation(start + 12)
+    for p in range(max(0, start - 12), start + 13):
+        assert digits_up_to(p).digits == oracle[: p + 1]
+
+
 def test_digits_match_naive_oracle_large():
     p = 1_000_000
     assert digits_up_to(p).digits == naive_concatenation(p)

@@ -1,20 +1,30 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from champcfe import (
     CONFIRMED,
+    SciDecimal,
     VIOLATION,
     DigitBudgetError,
     DigitLocation,
     InsufficientTruthError,
+    convergent_from_coefficients,
     digits_up_to,
+    failure_tail,
+    hwm_convergent,
+    locate_position,
     long_divide,
     measure_error,
     measure_ncd,
     verify_child,
     verify_hwm,
 )
+from champcfe.arith import first_difference
 
 HWM5 = (60_499_999_499, 490_050_000_000)
 
@@ -238,3 +248,114 @@ class TestConcurrency:
                 zip((4, 5, 6), pool.map(lambda n: verify_hwm(n).as_dict(), (4, 5, 6)))
             )
         assert parallel == sequential
+
+    def test_parallel_radix_conversions_match_str(self):
+        # each conversion runs in its own decimal context, which is per thread
+        from concurrent.futures import ThreadPoolExecutor
+
+        from champcfe.arith import from_digits, to_digits
+
+        values = [7**k for k in range(60_000, 60_008)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            strings = list(pool.map(to_digits, values))
+            assert strings == [str(v) for v in values]
+            assert list(pool.map(from_digits, strings)) == values
+
+
+def expanded_observations(num, den, truth, window, tail_len, mantissa_digits):
+    """Oracle for the residual-based observations: expand num/den over the
+    whole window with long_divide, compare it with truth character by
+    character, and measure the error in plain int arithmetic."""
+    conv = "0" + long_divide(num, den, window, max_digits=window)
+    pos = first_difference(conv, truth.digits[: window + 1])
+    loc = locate_position(pos)
+    start = pos - loc.digit_ordinal + 1
+    fails_as = int(conv[start : start + len(str(loc.integer))])
+    p = truth.last_position
+    diff = num * 10**p - int(truth.digits) * den
+    ad, dv = abs(diff), den * 10**p
+    e0 = len(str(ad)) - len(str(dv))
+    shift = mantissa_digits - e0
+    t = str(ad * 10**shift // dv if shift >= 0 else ad // (dv * 10**-shift))
+    error = SciDecimal(1 if diff > 0 else -1, t[:mantissa_digits], e0 + len(t) - 1 - mantissa_digits)
+    return pos, loc, fails_as, conv[pos : pos + tail_len], error
+
+
+class TestResidualObservations:
+    """verify_hwm and verify_child read every digit-level observation off
+    one residual; long_divide over the full window must agree."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_hwm_levels(self, n):
+        profile = verify_hwm(n, check_next_hwm=False)
+        truth = digits_up_to(verify_hwm_truth_length(n))
+        num, den = hwm_convergent(n, truth)
+        tail = failure_tail(n)
+        m = len(profile.error_predicted.digits) + 1
+        pos, loc, fails_as, obs_tail, error = expanded_observations(
+            num, den, truth, truth.last_position, len(tail), m
+        )
+        assert (profile.observed_ncd, profile.first_fail, profile.fails_as) == (
+            pos,
+            loc,
+            fails_as,
+        )
+        assert next(c.observed for c in profile.checks if c.field == "failure_tail") == obs_tail
+        assert profile.error_observed == error
+        assert measure_ncd(num, den, truth) == (pos, loc)
+        assert measure_error(num, den, truth, m) == error
+
+    @pytest.mark.parametrize("k", [101, 357])
+    def test_children_of_level8(self, k, level8_terms):
+        profile = verify_child(k, level8_terms)
+        r = convergent_from_coefficients(level8_terms[:k])
+        exp = -profile.error_predicted.exponent
+        m = len(profile.error_predicted.digits) + 1
+        truth = digits_up_to(exp + m + 10)
+        pos, loc, fails_as, _, error = expanded_observations(
+            r.numerator, r.denominator, truth, min(exp + 32, truth.last_position), 0, m
+        )
+        assert (profile.observed_ncd, profile.first_fail, profile.fails_as) == (
+            pos,
+            loc,
+            fails_as,
+        )
+        assert profile.error_observed == error
+
+    def test_carry_and_borrow_cross_the_low_end(self):
+        # the truth ends in the "99" of the integer 99, so one unit more
+        # carries through both nines; values below the constant borrow
+        truth = digits_up_to(189)
+        v = truth.as_scaled_integer()
+        cases = [(v + 1, 10**189), (v - 1, 10**189), (v + 10**150, 10**189), (1233, 10**4)]
+        for num, den in cases:
+            pos, loc, *_ = expanded_observations(num, den, truth, 189, 0, 3)
+            assert measure_ncd(num, den, truth) == (pos, loc)
+
+
+def verify_hwm_truth_length(n):
+    """The prefix verify_hwm(n, check_next_hwm=False) generates."""
+    from champcfe import error_profile, ncd, required_prefix_position
+
+    tail, err = failure_tail(n), error_profile(n)
+    return max(
+        required_prefix_position(n),
+        ncd(n) + len(tail) + 64,
+        ncd(n) + n - 2 + len(err.digits) + 1 + 10,
+    )
+
+
+def test_library_leaves_decimal_context_alone():
+    code = (
+        "import decimal\n"
+        "before = repr(decimal.getcontext())\n"
+        "import champcfe\n"
+        "from champcfe import arith\n"
+        "assert arith.to_digits(7**200_000) == str(7**200_000)\n"
+        "assert champcfe.verify_hwm(7, check_next_hwm=False).status == 'confirmed'\n"
+        "assert repr(decimal.getcontext()) == before, (before, repr(decimal.getcontext()))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -3,13 +3,6 @@ closed-form convergent predictions, coefficient computation, and
 digit-level verification of every prediction.
 """
 
-import sys
-
-# The toolkit routinely converts integers with millions of digits; lift the
-# interpreter's int/str conversion cap once, process-wide.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
-
 from .cfe import (
     NaiveCfe,
     PrecisionError,

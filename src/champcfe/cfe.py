@@ -92,10 +92,10 @@ def cfe_extract(
     if numerator < 0:
         raise ValueError("numerator must be non-negative")
     terms: list[int] = []
-    a, b = arith.mz(numerator), arith.mz(denominator)
+    a, b = numerator, denominator
     while b:
         q, r = divmod(a, b)
-        terms.append(int(q))
+        terms.append(q)
         a, b = b, r
     if final_index_parity is not None:
         want_odd = final_index_parity == "odd"
@@ -114,14 +114,14 @@ def convergent_from_coefficients(terms: Sequence[int]) -> Fraction:
     inverse of cfe_extract on canonical lists."""
     if not terms:
         raise ValueError("empty coefficient list")
-    p_prev, q_prev = arith.mz(1), arith.mz(0)
-    p, q = arith.mz(terms[0]), arith.mz(1)
+    p_prev, q_prev = 1, 0
+    p, q = terms[0], 1
     for a in terms[1:]:
         if a < 1:
             raise ValueError("coefficients after the first must be >= 1")
-        p_prev, p = p, arith.mz(a) * p + p_prev
-        q_prev, q = q, arith.mz(a) * q + q_prev
-    return Fraction(int(p), int(q))
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    return Fraction(p, q)
 
 
 @dataclass(frozen=True)
@@ -149,16 +149,16 @@ def naive_cfe(prefix: DigitPrefix) -> NaiveCfe:
     p = prefix.last_position
     v = prefix.as_scaled_integer()
     scale = 10**p
-    a_lo, b_lo = arith.mz(v), arith.mz(scale)
-    a_hi, b_hi = arith.mz(v + 1), arith.mz(scale)
+    a_lo, b_lo = v, scale
+    a_hi, b_hi = v + 1, scale
     terms: list[int] = []
     while b_lo and b_hi:
         q_lo, r_lo = divmod(a_lo, b_lo)
         q_hi, r_hi = divmod(a_hi, b_hi)
         if q_lo != q_hi:
-            terms.append(int(q_lo))
+            terms.append(q_lo)
             return NaiveCfe(terms=terms, trusted_terms=len(terms) - 1)
-        terms.append(int(q_lo))
+        terms.append(q_lo)
         a_lo, b_lo = b_lo, r_lo
         a_hi, b_hi = b_hi, r_hi
     # one expansion terminated first: everything emitted so far is shared

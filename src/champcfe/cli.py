@@ -24,9 +24,6 @@ MAX_VERIFY_HWM = 10
 MAX_COMPUTE_HWM = 11
 
 
-GUARD_DIGITS = 10  # constant digits generated past the last reported error digit
-
-
 def _digit_budget(flag: int | None) -> int:
     """The --max-digits flag, else the environment override, else the default."""
     if flag is None:
@@ -155,7 +152,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n,
         compute_error=args.error,
         check_next_hwm=not args.no_next,
-        guard_digits=GUARD_DIGITS,
         max_digits=args.max_digits,
     )
     payload = profile.as_dict()
@@ -214,10 +210,7 @@ def cmd_child(args: argparse.Namespace) -> int:
     with open(args.coefficients) as fp:
         terms = cfe.read_coefficients(fp)
     profile = verify.verify_child(
-        args.coefficient_index,
-        terms,
-        guard_digits=GUARD_DIGITS,
-        max_digits=args.max_digits,
+        args.coefficient_index, terms, max_digits=args.max_digits
     )
     payload = profile.as_dict()
     if args.format == "json":
@@ -228,40 +221,30 @@ def cmd_child(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    n_max = args.max_hwm
-    _require_deep(n_max, args, MAX_COMPUTE_HWM, "benchmarking")
+    _require_deep(args.max_hwm, args, MAX_VERIFY_HWM, "benchmarking")
     rows = []
     previous = None
-    for n in range(4, n_max + 1):
+    status = 0
+    for n in range(4, args.max_hwm + 1):
         start = time.perf_counter()
-        p = cfe.required_prefix_position(n)
-        need = p
-        if args.error:
-            err = predict.error_profile(n)
-            need = max(need, -err.exponent + len(err.digits) + 1 + GUARD_DIGITS)
-        truth = digits_up_to(need, max_digits=args.max_digits)
-        num, den = cfe.hwm_convergent(n, truth)
-        terms = cfe.cfe_extract(num, den, final_index_parity="odd")
-        if args.error:
-            err_obs = verify.measure_error(
-                num, den, truth, mantissa_digits=n - 2, guard_digits=GUARD_DIGITS
-            )
+        profile = verify.verify_hwm(
+            n, compute_error=args.error, check_next_hwm=False, max_digits=args.max_digits
+        )
         elapsed = time.perf_counter() - start
-        total = sum(arith.digit_count(t) for t in terms)
         ratio = "" if previous in (None, 0.0) else f"{elapsed / previous:8.1f}x"
         rows.append(
-            f"{n:>3} {p + 1:>12} {need + 1:>12} {total:>12} {elapsed:>10.3f}s {ratio}"
+            f"{n:>3} {profile.c10_digits_used:>12} {profile.total_coefficient_digits:>12} "
+            f"{elapsed:>10.3f}s {ratio:>9} {profile.status}"
         )
+        if profile.status != verify.CONFIRMED:
+            status = 2
         previous = elapsed
     header = (
-        f"{'N':>3} {'c10 digits':>12} {'peak digits':>12} {'cfe digits':>12} "
-        f"{'time':>11} {'ratio':>9}"
+        f"{'N':>3} {'c10 digits':>12} {'cfe digits':>12} {'time':>11} {'ratio':>9} status"
     )
-    note = (
-        "# reference scaling: roughly 12x memory and 24x time per level\n"
-    )
+    note = "# reference scaling: roughly 12x memory and 24x time per level\n"
     _emit(note + header + "\n" + "\n".join(rows) + "\n", args)
-    return 0
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_child)
 
-    p = sub.add_parser("bench", help="time the pipeline per level")
+    p = sub.add_parser("bench", help="time verify_hwm per level")
     p.add_argument("--max-hwm", type=int, required=True)
     p.add_argument("--error", action="store_true")
     p.add_argument("--deep", action="store_true")

@@ -84,13 +84,13 @@ def hwm_numbers(maxima: Sequence[GenerationEntry]) -> dict[int, int]:
     return numbering
 
 
-def _clusters(lengths: list[int], gap: float) -> list[list[int]]:
-    """Group sorted digit lengths into bands separated by more than gap
-    decades."""
+def _clusters(lengths: list[int]) -> list[list[int]]:
+    """Group sorted digit lengths into bands separated by more than
+    DEFAULT_CLUSTER_GAP decades."""
     ordered = sorted(set(lengths))
     bands = [[ordered[0]]]
     for a, b in zip(ordered, ordered[1:]):
-        if math.log10(b) - math.log10(a) > gap:
+        if math.log10(b) - math.log10(a) > DEFAULT_CLUSTER_GAP:
             bands.append([b])
         else:
             bands[-1].append(b)
@@ -100,7 +100,6 @@ def _clusters(lengths: list[int], gap: float) -> list[list[int]]:
 def classify(
     lengths: Sequence[int],
     thresholds: ScanThresholds | None = None,
-    cluster_gap: float = DEFAULT_CLUSTER_GAP,
 ) -> list[GenerationEntry]:
     """Assign a generation to every coefficient above its gap's scan floor,
     in input order.
@@ -123,7 +122,7 @@ def classify(
         ]
         if not gap_entries:
             continue
-        bands = _clusters([L for _, L in gap_entries], cluster_gap)
+        bands = _clusters([L for _, L in gap_entries])
         bands.sort(key=max, reverse=True)
         anchor = predict.child_length(left_no - 1) if left_no >= 6 else None
         if anchor is not None and anchor not in bands[0]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from . import arith
 from .digits import position_of_power
 
 
@@ -91,7 +92,7 @@ class DenominatorShape:
         """The denominator as an integer; refuses placeholder shapes."""
         if self.is_lengths_only:
             raise ValueError("preamble/penultimate contents are not predicted")
-        return int(
+        return arith.from_digits(
             self.preamble
             + "9" * self.nines_count
             + self.penultimate
@@ -136,11 +137,9 @@ def denominator_sci(n: int) -> SciDecimal:
 def denominator(n: int) -> int:
     """Exact integer denominator of the convergent before HWM #n, n >= 5.
     (n = 4 is the half-scale special case 81, owned by the engine.)"""
-    from . import arith
-
     sci = denominator_sci(n)
     shift = sci.exponent - (len(sci.digits) - 1)
-    return int(arith.mz(int(sci.digits)) * arith.pow10(shift))
+    return int(sci.digits) * arith.pow10(shift)
 
 
 def denominator_digit_count(n: int) -> int:

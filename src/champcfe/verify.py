@@ -10,6 +10,7 @@ machine-readable field diff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -28,6 +29,8 @@ CONFIRMED = "confirmed"
 VIOLATION = "violation"
 
 PROFILE_VERSION = 1
+
+GUARD_DIGITS = 10  # constant digits generated past the last reported error digit
 
 
 class InsufficientTruthError(Exception):
@@ -85,7 +88,7 @@ def long_divide(
         raise ValueError("ndigits must be >= 1")
     if ndigits > max_digits:
         raise DigitBudgetError(requested=ndigits, budget=max_digits)
-    q = arith.scaled_quotient(numerator, denominator, ndigits)
+    q = numerator * arith.pow10(ndigits) // denominator
     return arith.to_digits(q).rjust(ndigits, "0")
 
 
@@ -153,7 +156,7 @@ def measure_error(
     denominator: int,
     truth: DigitPrefix,
     mantissa_digits: int,
-    guard_digits: int = 10,
+    guard_digits: int = GUARD_DIGITS,
 ) -> SciDecimal:
     """Leading mantissa digits and exponent of (convergent - truncation),
     exact. Positive while the convergent runs above the constant.
@@ -235,7 +238,6 @@ def verify_hwm(
     *,
     compute_error: bool = True,
     check_next_hwm: bool = True,
-    guard_digits: int = 10,
     max_digits: int = DEFAULT_DIGIT_BUDGET,
 ) -> ConvergentProfile:
     """Full pipeline for HWM #n: predicted denominator, ceiling numerator,
@@ -259,14 +261,14 @@ def verify_hwm(
     prefix_pos = cfe.required_prefix_position(n)
     need = max(prefix_pos, p_ncd + len(p_tail) + 64)
     if compute_error:
-        need = max(need, (p_ncd + n - 2) + len(p_err.digits) + 1 + guard_digits)
+        need = max(need, (p_ncd + n - 2) + len(p_err.digits) + 1 + GUARD_DIGITS)
     if check_next_hwm:
         need = max(need, cfe.required_prefix_position(n + 1))
     truth = digits_up_to(need, max_digits=max_digits)
 
     den = cfe.hwm_denominator(n)
     num = cfe.numerator_for_hwm(n, truth)
-    coprime = arith.gcd(num, den) == 1
+    coprime = math.gcd(num, den) == 1
     terms = cfe.cfe_extract(num, den, final_index_parity="odd")
     k = len(terms)
     total_digits = sum(arith.digit_count(t) for t in terms)
@@ -294,7 +296,7 @@ def verify_hwm(
 
     err_obs = None
     if compute_error:
-        err_obs = _error(diff, den, truth.last_position, len(p_err.digits) + 1, guard_digits)
+        err_obs = _error(diff, den, truth.last_position, len(p_err.digits) + 1, GUARD_DIGITS)
         checks.append(_check("error", p_err, err_obs.round_to(len(p_err.digits))))
 
     if n >= 5:
@@ -389,7 +391,6 @@ def verify_child(
     coefficient_index: int,
     terms: Sequence[int],
     *,
-    guard_digits: int = 10,
     max_digits: int = DEFAULT_DIGIT_BUDGET,
 ) -> ChildProfile:
     """Verify the convergent truncated immediately before the coefficient at
@@ -416,11 +417,11 @@ def verify_child(
     num, den = r.numerator, r.denominator
 
     exp = -p_err.exponent
-    need = exp + len(p_err.digits) + 1 + guard_digits
+    need = exp + len(p_err.digits) + 1 + GUARD_DIGITS
     truth = digits_up_to(need, max_digits=max_digits)
 
     diff = _residual(num, den, truth)
-    err_obs = _error(diff, den, truth.last_position, len(p_err.digits) + 1, guard_digits)
+    err_obs = _error(diff, den, truth.last_position, len(p_err.digits) + 1, GUARD_DIGITS)
     found = _first_failure(num, den, truth, diff)
     if found is None or found[0] > exp + 32:
         raise InsufficientTruthError(required=exp + 34)

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from champcfe import verify
 from champcfe.cli import main
 
 
@@ -270,6 +272,29 @@ class TestBench:
         assert lines[3].split()[0] == "5"
         assert lines[2].split()[1] == "2"
         assert lines[3].split()[1] == "11"
+
+    def test_cfe_digits_come_from_the_verifier(self, capsys):
+        code, out, _ = run(capsys, "bench", "--max-hwm", "5")
+        assert code == 0
+        rows = out.strip().split("\n")[2:]
+        for n, row in zip((4, 5), rows):
+            profile = verify.verify_hwm(n, check_next_hwm=False)
+            assert int(row.split()[2]) == profile.total_coefficient_digits
+            assert row.split()[-1] == "confirmed"
+
+    def test_violation_exit_code(self, capsys, monkeypatch):
+        profile = verify.verify_hwm(4, compute_error=False, check_next_hwm=False)
+        wrong = verify.FieldCheck("ncd", 9, 8, False)
+        violated = dataclasses.replace(profile, checks=[*profile.checks, wrong])
+        monkeypatch.setattr(verify, "verify_hwm", lambda n, **kw: violated)
+        code, out, _ = run(capsys, "bench", "--max-hwm", "5")
+        assert code == 2
+        assert out.strip().split("\n")[-1].split()[-1] == "violation"
+
+    def test_ceiling(self, capsys):
+        code, _, err = run(capsys, "bench", "--max-hwm", "11", "--deep")
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestErrors:

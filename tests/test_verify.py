@@ -345,17 +345,49 @@ def verify_hwm_truth_length(n):
     )
 
 
+def run_fresh(code, env=os.environ, cwd=None):
+    """Run code in a fresh interpreter that imports champcfe from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(env, PYTHONPATH=src + os.pathsep + env.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_library_leaves_decimal_context_alone():
-    code = (
-        "import decimal\n"
+    run_fresh(
+        "import decimal, sys\n"
         "before = repr(decimal.getcontext())\n"
         "import champcfe\n"
         "from champcfe import arith\n"
+        "sys.set_int_max_str_digits(0)  # for the str() oracle only\n"
         "assert arith.to_digits(7**200_000) == str(7**200_000)\n"
         "assert champcfe.verify_hwm(7, check_next_hwm=False).status == 'confirmed'\n"
         "assert repr(decimal.getcontext()) == before, (before, repr(decimal.getcontext()))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+
+
+def test_library_works_under_the_default_int_str_cap(tmp_path):
+    # every conversion the library makes stays under the interpreter's cap,
+    # so importing champcfe need not lift it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    run_fresh(
+        "import sys\n"
+        "cap = sys.get_int_max_str_digits()\n"
+        "import champcfe\n"
+        "from champcfe import arith, cli, read_coefficients, verify_child, verify_hwm\n"
+        "assert verify_hwm(7, check_next_hwm=False).status == 'confirmed'\n"
+        "assert cli.main(['compute', '--hwm', '8', '--out', 'c8.txt']) == 0\n"
+        "with open('c8.txt') as fp:\n"
+        "    terms = read_coefficients(fp)\n"
+        "for k in (101, 357):  # 2,725- and 36,211-digit denominators\n"
+        "    child = verify_child(k, terms)\n"
+        "    assert child.status == 'confirmed'\n"
+        "    shape = child.denominator_shape\n"
+        "    assert len(arith.to_digits(shape.realize())) == shape.total_length\n"
+        "assert shape.total_length > cap > 0, cap\n"
+        "assert sys.get_int_max_str_digits() == cap, sys.get_int_max_str_digits()\n",
+        env=env,
+        cwd=tmp_path,
+    )

@@ -13,8 +13,6 @@ import time
 
 from champcfe import (
     cfe_extract,
-    child_denominator_shape,
-    child_error_profile,
     child_length,
     classify,
     digits_up_to,
@@ -51,11 +49,10 @@ def efficiency(profiles):
         print(f"{n:>2} {p.total_coefficient_digits:>11} {p.c10_digits_used:>11}")
 
 
-def children(terms):
+def children(kids):
     print("\nChildren (2nd generation) observed in the level-8 coefficients")
     print(f"{'index':>6} {'length':>7} {'predicted':>10} {'error':>18} {'status':>10}")
-    for k in (101, 357):
-        child = verify_child(k, terms)
+    for k, child in kids.items():
         err = child.error_observed.round_to(len(child.error_predicted.digits))
         print(
             f"{k:>6} {child.child_length:>7} {child.child_length_predicted:>10} "
@@ -66,17 +63,15 @@ def children(terms):
         print(f"  after maximum #{n + 1}: {child_length(n)}")
 
 
-def child_shapes(terms):
+def child_shapes(kids):
     print("\nChild denominator blocks")
-    for k in (101, 357):
-        child = verify_child(k, terms)
+    for k, child in kids.items():
         s = child.denominator_shape
-        predicted = child_denominator_shape(child.follows_hwm)
         print(
             f"  index {k}: preamble {s.preamble} ({s.preamble_length}), "
             f"nines {s.nines_count}, penultimate {s.penultimate} "
             f"({s.penultimate_length}), zeroes {s.zeroes_count}, "
-            f"total {s.total_length} (predicted lengths {predicted.lengths()})"
+            f"total {s.total_length} (predicted lengths {child.shape_lengths_predicted})"
         )
 
 
@@ -100,8 +95,9 @@ def main() -> int:
     truth = digits_up_to(80_000)
     num, den = hwm_convergent(8, truth)
     terms = cfe_extract(num, den, final_index_parity="odd")
-    children(terms)
-    child_shapes(terms)
+    kids = {k: verify_child(k, terms) for k in (101, 357)}
+    children(kids)
+    child_shapes(kids)
     generation_table(terms)
     print(f"\ntotal runtime: {time.perf_counter() - start:.1f}s")
     return 0

@@ -9,7 +9,6 @@ from .cfe import (
     cfe_extract,
     convergent_from_coefficients,
     hwm_convergent,
-    hwm_denominator,
     naive_cfe,
     numerator_for_hwm,
     numerator_tail_checks,
@@ -31,7 +30,6 @@ from .generations import (
     AnchorError,
     ChildScan,
     GenerationEntry,
-    ScanThresholds,
     child_positions,
     classify,
     find_hwms,

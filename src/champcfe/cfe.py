@@ -36,14 +36,6 @@ def required_prefix_position(n: int) -> int:
     return position_of_power(n - 4)
 
 
-def hwm_denominator(n: int) -> int:
-    """Denominator of the convergent before HWM #n, including the n = 4
-    special case (81; the scientific-form rule only fits it half-scale)."""
-    if n == 4:
-        return 81
-    return predict.denominator(n)
-
-
 def numerator_for_hwm(n: int, prefix: DigitPrefix) -> int:
     """Numerator as the ceiling of denominator * prefix value, computed in
     integer arithmetic on exactly the required number of digits.
@@ -53,14 +45,14 @@ def numerator_for_hwm(n: int, prefix: DigitPrefix) -> int:
     power of ten of only |shift - p| digits.
 
     For n = 4 the half-scale identity applies: ceil(40.5 * 0.1) = 5, then
-    doubled back to 10 over the true denominator 81.
+    doubled back to 10 over the true denominator predict.denominator(4).
     """
     p = required_prefix_position(n)
     if prefix.last_position < p:
         raise PrecisionError(required_position=p, got=prefix.last_position)
     v = arith.from_digits(prefix.digits[: p + 1])
     if n == 4:
-        half = -((-81 * v) // (2 * 10**p))  # ceil(81*v / (2*10^p))
+        half = -((-predict.denominator(4) * v) // (2 * 10**p))  # ceil(den*v / (2*10^p))
         return 2 * half
     sci = predict.denominator_sci(n)
     shift = sci.exponent - (len(sci.digits) - 1) - p
@@ -70,7 +62,7 @@ def numerator_for_hwm(n: int, prefix: DigitPrefix) -> int:
 
 def hwm_convergent(n: int, prefix: DigitPrefix) -> tuple[int, int]:
     """(numerator, denominator) of the convergent before HWM #n."""
-    return numerator_for_hwm(n, prefix), hwm_denominator(n)
+    return numerator_for_hwm(n, prefix), predict.denominator(n)
 
 
 def cfe_extract(

@@ -63,21 +63,19 @@ def cmd_digits(args: argparse.Namespace) -> int:
 def _prediction_record(n: int, child: bool) -> dict:
     if n < 4:
         raise ValueError("predictions start at HWM #4")
-    if child and n < 6:
-        raise ValueError("child predictions start after HWM #6")
+    if child and n < predict.FIRST_CHILD_HWM:
+        raise ValueError(f"child predictions start after HWM #{predict.FIRST_CHILD_HWM}")
     err = predict.child_error_profile(n) if child else predict.error_profile(n)
-    mant = err.digits[0] + ("." + err.digits[1:] if len(err.digits) > 1 else "")
+    failing, fails_as = predict.failing_integer(n)
     record = {
         "hwm": n,
         "ncd": predict.ncd(n),
-        "error_mantissa": ("-" if err.sign < 0 else "") + mant,
+        "error_mantissa": str(err).split("E")[0],
         "error_exponent": err.exponent,
-        "denominator_sci": str(
-            predict.denominator_sci(n) if n >= 5 else predict.SciDecimal(+1, "81", 1)
-        ),
+        "denominator_sci": str(predict.denominator_sci(n)),
         "hwm_length": predict.hwm_length(n),
-        "failing_integer": predict.failing_integer(n)[0],
-        "fails_as": predict.failing_integer(n)[1],
+        "failing_integer": failing,
+        "fails_as": fails_as,
         "child_length": None,
         "child_shape": None,
     }
@@ -145,6 +143,16 @@ def _profile_text(profile_dict: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit_profile(profile, args: argparse.Namespace) -> int:
+    """Write a verification profile as JSON or text; its exit code."""
+    payload = profile.as_dict()
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2) + "\n", args)
+    else:
+        _emit(_profile_text(payload), args)
+    return 0 if profile.status == verify.CONFIRMED else 2
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     n = args.hwm
     _require_deep(n, args, MAX_VERIFY_HWM, "verification")
@@ -154,27 +162,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         check_next_hwm=not args.no_next,
         max_digits=args.max_digits,
     )
-    payload = profile.as_dict()
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args)
-    else:
-        _emit(_profile_text(payload), args)
-    return 0 if profile.status == verify.CONFIRMED else 2
-
-
-def _load_thresholds(path: str | None) -> generations.ScanThresholds | None:
-    if path is None:
-        return None
-    with open(path) as fp:
-        raw = json.load(fp)
-    return generations.ScanThresholds({int(k): int(v) for k, v in raw.items()})
+    return _emit_profile(profile, args)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     with open(args.coefficients) as fp:
         lengths = cfe.coefficient_digit_lengths(fp)
-    thresholds = _load_thresholds(args.thresholds)
-    entries = generations.classify(lengths, thresholds=thresholds)
+    entries = generations.classify(lengths)
     fmt = args.format
     if fmt == "json":
         payload = [
@@ -212,15 +206,12 @@ def cmd_child(args: argparse.Namespace) -> int:
     profile = verify.verify_child(
         args.coefficient_index, terms, max_digits=args.max_digits
     )
-    payload = profile.as_dict()
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args)
-    else:
-        _emit(_profile_text(payload), args)
-    return 0 if profile.status == verify.CONFIRMED else 2
+    return _emit_profile(profile, args)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.max_hwm < 4:
+        raise ValueError("benchmarking starts at HWM #4")
     _require_deep(args.max_hwm, args, MAX_VERIFY_HWM, "benchmarking")
     rows = []
     previous = None
@@ -290,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="assign generations to coefficients")
     p.add_argument("--coefficients", required=True)
-    p.add_argument("--thresholds", default=None)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_classify)
@@ -337,5 +327,13 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Console entry point: it owns the process, so it lifts the int/str cap
+    that predictions from level 4,300 exceed; main() changes no global state."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

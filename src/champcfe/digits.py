@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from . import arith
 
 DEFAULT_DIGIT_BUDGET = 10**8
+_JOIN_INTS = 1 << 14  # integers per join: join() holds all their str objects at once
 
 
 class DigitBudgetError(Exception):
@@ -89,9 +90,9 @@ def locate_position(p: int) -> DigitLocation:
 def digits_up_to(p: int, max_digits: int = DEFAULT_DIGIT_BUDGET) -> DigitPrefix:
     """First p fractional digits of the constant, preceded by the leading '0'.
 
-    Generation is string concatenation over consecutive integers, one
-    chunk per block of equal-width integers, sized to the request: linear
-    in p.
+    Generation is string concatenation over consecutive integers, in
+    chunks of at most _JOIN_INTS equal-width integers, sized to the
+    request: linear in p.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
@@ -101,9 +102,9 @@ def digits_up_to(p: int, max_digits: int = DEFAULT_DIGIT_BUDGET) -> DigitPrefix:
     total = 1
     n, width = 1, 1
     while total <= p:
-        # the integers of this width still needed, up to the end of the block
-        hi = min(10**width, n + (p - total) // width + 1)
+        # integers of this width still needed, to the block end, at most _JOIN_INTS
+        hi = min(10**width, n + (p - total) // width + 1, n + _JOIN_INTS)
         parts.append("".join(map(str, range(n, hi))))
         total += (hi - n) * width
-        n, width = hi, width + 1
+        n, width = hi, len(str(hi))
     return DigitPrefix("".join(parts)[: p + 1])

@@ -13,7 +13,7 @@ guessed around.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import predict
@@ -36,27 +36,11 @@ class GenerationEntry:
     generation: int
 
 
-@dataclass(frozen=True)
-class ScanThresholds:
-    """Minimum digit lengths (exclusive) per gap between maxima, keyed by
-    the HWM number on the left of the gap."""
-
-    by_interval: dict[int, int] = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
-
-    def __post_init__(self):
-        if not self.by_interval:
-            raise ValueError("at least one threshold is required")
-        last = 0
-        for key in sorted(self.by_interval):
-            value = self.by_interval[key]
-            if value <= 0 or value < last:
-                raise ValueError("thresholds must be positive and non-decreasing")
-            last = value
-
-    def threshold_for(self, left_hwm_number: int) -> int:
-        keys = [k for k in self.by_interval if k <= left_hwm_number]
-        key = max(keys) if keys else min(self.by_interval)
-        return self.by_interval[key]
+def _threshold_for(left_hwm_number: int) -> int:
+    """Scan floor (exclusive) of the gap opened by the given maximum: the
+    entry with the largest key at or below it, else the smallest key's."""
+    keys = [k for k in DEFAULT_THRESHOLDS if k <= left_hwm_number]
+    return DEFAULT_THRESHOLDS[max(keys, default=min(DEFAULT_THRESHOLDS))]
 
 
 def find_hwms(lengths: Sequence[int]) -> list[GenerationEntry]:
@@ -97,10 +81,7 @@ def _clusters(lengths: list[int]) -> list[list[int]]:
     return bands
 
 
-def classify(
-    lengths: Sequence[int],
-    thresholds: ScanThresholds | None = None,
-) -> list[GenerationEntry]:
+def classify(lengths: Sequence[int]) -> list[GenerationEntry]:
     """Assign a generation to every coefficient above its gap's scan floor,
     in input order.
 
@@ -108,7 +89,6 @@ def classify(
     find_hwms exactly. Raises AnchorError when a gap's bands cannot be
     anchored to the predicted child length.
     """
-    thresholds = thresholds or ScanThresholds()
     maxima = find_hwms(lengths)
     numbering = hwm_numbers(maxima)
     entries = list(maxima)
@@ -116,7 +96,7 @@ def classify(
     bounds = [e.coefficient_index for e in maxima] + [len(lengths)]
     for left, right in zip(bounds, bounds[1:]):
         left_no = numbering[left]
-        floor = thresholds.threshold_for(left_no)
+        floor = _threshold_for(left_no)
         gap_entries = [
             (i, lengths[i]) for i in range(left + 1, right) if lengths[i] > floor
         ]
@@ -124,7 +104,7 @@ def classify(
             continue
         bands = _clusters([L for _, L in gap_entries])
         bands.sort(key=max, reverse=True)
-        anchor = predict.child_length(left_no - 1) if left_no >= 6 else None
+        anchor = predict.child_length(left_no - 1) if left_no >= predict.FIRST_CHILD_HWM else None
         if anchor is not None and anchor not in bands[0]:
             raise AnchorError(
                 f"gap after maximum #{left_no}: predicted child length {anchor} "
@@ -159,7 +139,7 @@ def child_positions(entries: Sequence[GenerationEntry]) -> ChildScan:
     # only gaps closed on both sides carry the exactly-one rule; a trailing
     # segment may end before its child shows up
     for left, right in zip(gen1, gen1[1:]):
-        if numbering[left] < 6:
+        if numbering[left] < predict.FIRST_CHILD_HWM:
             continue
         inside = [i for i in gen2 if left < i < right]
         if len(inside) != 1:

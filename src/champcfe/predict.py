@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from . import arith
 from .digits import position_of_power
 
+FIRST_CHILD_HWM = 6  # children are predicted only after this maximum
+
 
 @dataclass(frozen=True)
 class SciDecimal:
@@ -129,14 +131,15 @@ def hwm_length(n: int) -> int:
 def denominator_sci(n: int) -> SciDecimal:
     """Denominator of the convergent before HWM #n in scientific form:
     4.[nines]0...05 E+(ncd(n-1) + 2(n-2) - 3), with n-4 nines and n-3 zeroes."""
-    _require(n, 5, "denominator_sci")
+    _require(n, 4, "denominator_sci")
+    if n == 4:  # half-scale case: the form gives 4.05E+1 = 40.5, half the true value
+        return SciDecimal(+1, "81", 1)
     mantissa = "4" + "9" * (n - 4) + "0" * (n - 3) + "5"
     return SciDecimal(+1, mantissa, ncd(n - 1) + 2 * (n - 2) - 3)
 
 
 def denominator(n: int) -> int:
-    """Exact integer denominator of the convergent before HWM #n, n >= 5.
-    (n = 4 is the half-scale special case 81, owned by the engine.)"""
+    """Exact integer denominator of the convergent before HWM #n, n >= 4."""
     sci = denominator_sci(n)
     shift = sci.exponent - (len(sci.digits) - 1)
     return int(sci.digits) * arith.pow10(shift)
@@ -175,14 +178,14 @@ def failure_tail(n: int) -> str:
 def child_length(n: int) -> int:
     """Digit count of the child (2nd-generation) HWM spawned by HWM #n; the
     child itself appears between HWM #(n+1) and HWM #(n+2)."""
-    _require(n, 5, "child_length")
+    _require(n, FIRST_CHILD_HWM - 1, "child_length")
     return hwm_length(n) - 10 * (n - 5) - 26
 
 
 def child_error_profile(n: int) -> SciDecimal:
     """Error of the convergent before the child that appears after HWM #n:
     -8.9...92 with n-5 nines; exponent from the HWM #n error exponent."""
-    _require(n, 6, "child_error_profile")
+    _require(n, FIRST_CHILD_HWM, "child_error_profile")
     hwm_exp = error_profile(n).exponent  # negative
     exp = -2 * hwm_exp - ncd(n - 1) - n + 3
     return SciDecimal(-1, "8" + "9" * (n - 5) + "2", -exp)
@@ -191,7 +194,7 @@ def child_error_profile(n: int) -> SciDecimal:
 def child_denominator_shape(n: int) -> DenominatorShape:
     """Predicted shape of the child-convergent denominator after HWM #n.
     Only the four block lengths are predicted; contents stay placeholders."""
-    _require(n, 6, "child_denominator_shape")
+    _require(n, FIRST_CHILD_HWM, "child_denominator_shape")
     pre_len = 7 * (n - 2) - 9
     nines = ncd(n) - ncd(n - 1) - 7 * (n - 2) + 10
     zeroes = ncd(n - 2) - 1

@@ -65,6 +65,8 @@ def _check(name: str, predicted, observed) -> FieldCheck:
 def _jsonable(value):
     if isinstance(value, SciDecimal):
         return str(value)
+    if isinstance(value, predict.DenominatorShape):
+        return {**vars(value), "total_length": value.total_length}
     if isinstance(value, DigitLocation):
         return {"integer": value.integer, "digit_ordinal": value.digit_ordinal}
     if isinstance(value, tuple):
@@ -197,10 +199,36 @@ def _error(
     return SciDecimal(sign, ts[:mantissa_digits], exponent)
 
 
+class _Profile:
+    """Status and serialization shared by the profiles: as_dict() lists every
+    field but checks in declaration order, between the header and the status."""
+
+    kind: str
+    checks: list[FieldCheck]
+
+    @property
+    def status(self) -> str:
+        return CONFIRMED if all(c.ok for c in self.checks) else VIOLATION
+
+    def violations(self) -> list[FieldCheck]:
+        return [c for c in self.checks if not c.ok]
+
+    def as_dict(self) -> dict:
+        d = {"profile_version": PROFILE_VERSION, "kind": self.kind}
+        for f in fields(self):
+            if f.name != "checks":
+                d[f.name] = _jsonable(getattr(self, f.name))
+        d["status"] = self.status
+        d["checks"] = [c.as_dict() for c in self.checks]
+        return d
+
+
 @dataclass
-class ConvergentProfile:
+class ConvergentProfile(_Profile):
     """Everything observed about the convergent before HWM #n, next to the
     matching predictions."""
+
+    kind = "hwm"
 
     hwm_n: int
     coefficient_index: int
@@ -216,21 +244,6 @@ class ConvergentProfile:
     c10_digits_used: int
     next_hwm_length: int | None
     checks: list[FieldCheck] = field(default_factory=list)
-
-    @property
-    def status(self) -> str:
-        return CONFIRMED if all(c.ok for c in self.checks) else VIOLATION
-
-    def violations(self) -> list[FieldCheck]:
-        return [c for c in self.checks if not c.ok]
-
-    def as_dict(self) -> dict:
-        d = {"profile_version": PROFILE_VERSION, "kind": "hwm"}
-        for f in fields(self)[:-1]:  # every field but checks, in declaration order
-            d[f.name] = _jsonable(getattr(self, f.name))
-        d["status"] = self.status
-        d["checks"] = [c.as_dict() for c in self.checks]
-        return d
 
 
 def verify_hwm(
@@ -266,7 +279,7 @@ def verify_hwm(
         need = max(need, cfe.required_prefix_position(n + 1))
     truth = digits_up_to(need, max_digits=max_digits)
 
-    den = cfe.hwm_denominator(n)
+    den = predict.denominator(n)
     num = cfe.numerator_for_hwm(n, truth)
     coprime = math.gcd(num, den) == 1
     terms = cfe.cfe_extract(num, den, final_index_parity="odd")
@@ -311,7 +324,7 @@ def verify_hwm(
     next_len = None
     if check_next_hwm:
         num2 = cfe.numerator_for_hwm(n + 1, truth)
-        terms2 = cfe.cfe_extract(num2, cfe.hwm_denominator(n + 1), final_index_parity="odd")
+        terms2 = cfe.cfe_extract(num2, predict.denominator(n + 1), final_index_parity="odd")
         next_len = arith.digit_count(terms2[k])
         checks.append(_check("prefix_stability", True, terms2[:k] == terms))
         checks.append(_check("hwm_length", predict.hwm_length(n), next_len))
@@ -335,10 +348,12 @@ def verify_hwm(
 
 
 @dataclass
-class ChildProfile:
+class ChildProfile(_Profile):
     """Observations for the convergent truncated before a child (2nd
     generation) coefficient, including the denominator block contents the
     shape rule leaves open."""
+
+    kind = "child"
 
     coefficient_index: int
     follows_hwm: int
@@ -348,43 +363,10 @@ class ChildProfile:
     error_observed: SciDecimal
     error_predicted: SciDecimal
     denominator_shape: predict.DenominatorShape
-    shape_predicted: predict.DenominatorShape
+    shape_lengths_predicted: tuple[int, int, int, int]
     child_length: int | None
     child_length_predicted: int
     checks: list[FieldCheck] = field(default_factory=list)
-
-    @property
-    def status(self) -> str:
-        return CONFIRMED if all(c.ok for c in self.checks) else VIOLATION
-
-    def violations(self) -> list[FieldCheck]:
-        return [c for c in self.checks if not c.ok]
-
-    def as_dict(self) -> dict:
-        shape = self.denominator_shape
-        return {
-            "profile_version": PROFILE_VERSION,
-            "kind": "child",
-            "coefficient_index": self.coefficient_index,
-            "follows_hwm": self.follows_hwm,
-            "observed_ncd": self.observed_ncd,
-            "first_fail": _jsonable(self.first_fail),
-            "fails_as": self.fails_as,
-            "error_observed": _jsonable(self.error_observed),
-            "error_predicted": _jsonable(self.error_predicted),
-            "denominator_shape": {
-                "preamble": shape.preamble,
-                "nines_count": shape.nines_count,
-                "penultimate": shape.penultimate,
-                "zeroes_count": shape.zeroes_count,
-                "total_length": shape.total_length,
-            },
-            "shape_lengths_predicted": list(self.shape_predicted.lengths()),
-            "child_length": self.child_length,
-            "child_length_predicted": self.child_length_predicted,
-            "status": self.status,
-            "checks": [c.as_dict() for c in self.checks],
-        }
 
 
 def verify_child(
@@ -406,8 +388,8 @@ def verify_child(
     if len(maxima) < 2:
         raise ValueError("no first-generation maximum precedes the index")
     m = generations.hwm_numbers(maxima)[maxima[-1].coefficient_index]
-    if m < 6:
-        raise ValueError("children are predicted only after HWM #6")
+    if m < predict.FIRST_CHILD_HWM:
+        raise ValueError(f"children are predicted only after HWM #{predict.FIRST_CHILD_HWM}")
 
     p_err = predict.child_error_profile(m)
     p_shape = predict.child_denominator_shape(m)
@@ -451,7 +433,7 @@ def verify_child(
         error_observed=err_obs,
         error_predicted=p_err,
         denominator_shape=shape,
-        shape_predicted=p_shape,
+        shape_lengths_predicted=p_shape.lengths(),
         child_length=child_len,
         child_length_predicted=p_len,
         checks=checks,

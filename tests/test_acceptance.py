@@ -18,10 +18,10 @@ from champcfe import (
     child_length,
     classify,
     convergent_from_coefficients,
+    denominator,
     denominator_sci,
     digits_up_to,
     error_profile,
-    hwm_denominator,
     hwm_length,
     locate_position,
     measure_error,
@@ -86,9 +86,9 @@ def test_criterion_1_table1_reproduction(profiles):
             sci = denominator_sci(n)
             ok &= str(sci) == TABLE1_DENOMINATORS[n]
             exact = int(sci.digits) * 10 ** (sci.exponent - len(sci.digits) + 1)
-            ok &= hwm_denominator(n) == exact
+            ok &= denominator(n) == exact
         else:
-            ok &= hwm_denominator(n) == 81
+            ok &= denominator(n) == 81
     report(1, ok, "levels 4..8 confirmed with exact indices, NCD, errors, denominators")
     assert ok
 

@@ -11,9 +11,9 @@ from champcfe import (
     PrecisionError,
     cfe_extract,
     convergent_from_coefficients,
+    denominator,
     digits_up_to,
     hwm_convergent,
-    hwm_denominator,
     naive_cfe,
     numerator_for_hwm,
     numerator_tail_checks,
@@ -35,7 +35,7 @@ class TestNumerator:
     def test_level4_half_scale_identity(self):
         prefix = digits_up_to(1)
         assert numerator_for_hwm(4, prefix) == 10
-        assert hwm_denominator(4) == 81
+        assert denominator(4) == 81
 
     def test_longer_prefix_is_truncated_to_the_required_digits(self):
         assert numerator_for_hwm(5, digits_up_to(5000)) == 60_499_999_499

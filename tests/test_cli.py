@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from champcfe import verify
+from champcfe import predict, verify
 from champcfe.cli import main
 
 
@@ -94,6 +98,20 @@ class TestPredict:
     def test_bounds(self, capsys):
         assert run(capsys, "predict", "--hwm", "3")[0] == 1
         assert run(capsys, "predict", "--hwm", "5", "--child")[0] == 1
+
+    def test_levels_past_the_int_str_cap(self):
+        # ncd and failing_integer of level 5000 run to thousands of digits;
+        # the console entry lifts the conversion cap for its own process
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "champcfe", "predict", "--hwm", "5000", "--format", "json"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["ncd"] == predict.ncd(5000)
+        assert record["failing_integer"] == predict.failing_integer(5000)[0]
 
     def test_deterministic(self, capsys):
         first = run(capsys, "predict", "--hwm", "9", "--format", "json")
@@ -194,22 +212,6 @@ class TestClassify:
         assert code == 0
         assert "gen 2" in out
 
-    def test_threshold_file(self, capsys, coefficients8, tmp_path):
-        tf = tmp_path / "thresholds.json"
-        tf.write_text(json.dumps({"5": 100}))
-        code, out, _ = run(
-            capsys,
-            "classify",
-            "--coefficients",
-            str(coefficients8),
-            "--thresholds",
-            str(tf),
-            "--format",
-            "csv",
-        )
-        assert code == 0
-        assert "246,109,3" in out  # 109 > 100 still qualifies
-
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("12\nnope\n")
@@ -294,6 +296,13 @@ class TestBench:
     def test_ceiling(self, capsys):
         code, _, err = run(capsys, "bench", "--max-hwm", "11", "--deep")
         assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("level", ["3", "0", "-2"])
+    def test_floor(self, capsys, level):
+        code, out, err = run(capsys, "bench", "--max-hwm", level)
+        assert code == 1
+        assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
 

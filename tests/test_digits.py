@@ -77,9 +77,10 @@ def test_sized_generation_matches_naive_oracle_at_every_short_length():
         assert digits_up_to(p).digits == naive_concatenation(p)
 
 
-@pytest.mark.parametrize("boundary", [10, 100, 10_000])
+@pytest.mark.parametrize("boundary", [10, 100, 10_000, 10_000 + 2**14])
 def test_sized_generation_across_block_boundaries(boundary):
-    # the first digit of `boundary` starts a block of wider integers
+    # the first digit of `boundary` starts a block of wider integers, or
+    # (10_000 + 2**14) the second join chunk of the five-digit block
     start = position_of_integer(boundary)
     oracle = naive_concatenation(start + 12)
     for p in range(max(0, start - 12), start + 13):

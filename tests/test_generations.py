@@ -6,13 +6,12 @@ import pytest
 from champcfe import (
     AnchorError,
     GenerationEntry,
-    ScanThresholds,
     child_positions,
     classify,
     find_hwms,
 )
 from champcfe.arith import digit_count
-from champcfe.generations import hwm_numbers
+from champcfe.generations import _threshold_for, hwm_numbers
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,22 +69,13 @@ class TestFindHwms:
 
 class TestThresholds:
     def test_interval_lookup(self):
-        t = ScanThresholds()
-        assert t.threshold_for(5) == 50
-        assert t.threshold_for(8) == 50
-        assert t.threshold_for(9) == 300
-        assert t.threshold_for(10) == 5000
-        assert t.threshold_for(11) == 50000
-        assert t.threshold_for(99) == 50000
-        assert t.threshold_for(1) == 50  # below the smallest key
-
-    def test_must_be_positive_and_non_decreasing(self):
-        with pytest.raises(ValueError):
-            ScanThresholds({5: 50, 9: 10})
-        with pytest.raises(ValueError):
-            ScanThresholds({5: 0})
-        with pytest.raises(ValueError):
-            ScanThresholds({})
+        assert _threshold_for(5) == 50
+        assert _threshold_for(8) == 50
+        assert _threshold_for(9) == 300
+        assert _threshold_for(10) == 5000
+        assert _threshold_for(11) == 50000
+        assert _threshold_for(99) == 50000
+        assert _threshold_for(1) == 50  # below the smallest key
 
 
 class TestClassify:

@@ -85,9 +85,11 @@ def test_denominator_exponent_instantiation():
     assert denominator_sci(5).exponent == ncd(4) + 2 * 3 - 3 == 11
 
 
-def test_denominator_rejects_n4():
+def test_denominator_covers_the_half_scale_case():
+    assert denominator(4) == 81
+    assert str(denominator_sci(4)) == "8.1E+1"
     with pytest.raises(ValueError):
-        denominator(4)
+        denominator(3)
 
 
 def test_denominator_digit_counts():

@@ -68,9 +68,9 @@ def child_shapes(kids):
     for k, child in kids.items():
         s = child.denominator_shape
         print(
-            f"  index {k}: preamble {s.preamble} ({s.preamble_length}), "
+            f"  index {k}: preamble {s.preamble} ({len(s.preamble)}), "
             f"nines {s.nines_count}, penultimate {s.penultimate} "
-            f"({s.penultimate_length}), zeroes {s.zeroes_count}, "
+            f"({len(s.penultimate)}), zeroes {s.zeroes_count}, "
             f"total {s.total_length} (predicted lengths {child.shape_lengths_predicted})"
         )
 

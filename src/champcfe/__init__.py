@@ -11,7 +11,6 @@ from .cfe import (
     hwm_convergent,
     naive_cfe,
     numerator_for_hwm,
-    numerator_tail_checks,
     read_coefficients,
     required_prefix_position,
     write_coefficients,
@@ -46,7 +45,10 @@ from .predict import (
     failing_integer,
     failure_tail,
     hwm_length,
+    longest_nines,
     ncd,
+    nines_run,
+    numerator_tail,
     parity_consistent,
     parse_denominator_shape,
 )
@@ -56,7 +58,6 @@ from .verify import (
     ChildProfile,
     ConvergentProfile,
     InsufficientTruthError,
-    long_divide,
     measure_error,
     measure_ncd,
     verify_child,

@@ -65,16 +65,8 @@ def from_digits(s: str) -> int:
 
 def first_difference(a: str, b: str) -> int | None:
     """Index of the first differing character, or None if one string is a
-    prefix of the other. Binary search over slice equality, so the scan cost
-    is a handful of memcmps even on multi-megabyte strings."""
-    n = min(len(a), len(b))
-    if a[:n] == b[:n]:
-        return None
-    lo, hi = 0, n  # invariant: a[:lo] == b[:lo], a[:hi] != b[:hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if a[:mid] == b[:mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    prefix of the other."""
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return i
+    return None

@@ -6,7 +6,6 @@ kept as an efficiency baseline.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Literal, Sequence
@@ -40,9 +39,9 @@ def numerator_for_hwm(n: int, prefix: DigitPrefix) -> int:
     """Numerator as the ceiling of denominator * prefix value, computed in
     integer arithmetic on exactly the required number of digits.
 
-    The denominator is mantissa * 10**shift with a short mantissa, so the
-    ceiling of mantissa * v * 10**(shift - p) takes a small multiply and a
-    power of ten of only |shift - p| digits.
+    From n = 5 on the denominator is mantissa * 10**(p + 2 - n) with a short
+    mantissa, so the ceiling is that of mantissa * v / 10**(n - 2): a small
+    multiply and a power of ten of only n - 2 digits.
 
     For n = 4 the half-scale identity applies: ceil(40.5 * 0.1) = 5, then
     doubled back to 10 over the true denominator predict.denominator(4).
@@ -54,10 +53,7 @@ def numerator_for_hwm(n: int, prefix: DigitPrefix) -> int:
     if n == 4:
         half = -((-predict.denominator(4) * v) // (2 * 10**p))  # ceil(den*v / (2*10^p))
         return 2 * half
-    sci = predict.denominator_sci(n)
-    shift = sci.exponent - (len(sci.digits) - 1) - p
-    m = int(sci.digits) * v
-    return m * 10**shift if shift >= 0 else -(-m // 10**-shift)
+    return -(-int(predict.denominator_sci(n).digits) * v // 10 ** (n - 2))
 
 
 def hwm_convergent(n: int, prefix: DigitPrefix) -> tuple[int, int]:
@@ -155,46 +151,6 @@ def naive_cfe(prefix: DigitPrefix) -> NaiveCfe:
         a_hi, b_hi = b_hi, r_hi
     # one expansion terminated first: everything emitted so far is shared
     return NaiveCfe(terms=terms, trusted_terms=len(terms))
-
-
-@dataclass(frozen=True)
-class NumeratorTailReport:
-    """Checks on the published numerator digit patterns."""
-
-    ends_with: str | None  # expected literal tail, None below n=6
-    tail_ok: bool | None
-    longest_nines_run: int
-    expected_nines_run: int | None  # published only for n in {5, 7, 9, 11}
-    nines_run_ok: bool | None
-
-
-# Longest consecutive-nines runs in the odd-level numerators. The level-9
-# figure circulates in print as 2869, a transposition of the 2690 the
-# verified numerator actually carries; the level-11 figures (35987 plus a
-# separate 165-run) reproduce exactly, pinning the typo.
-_NINES_RUNS = {5: 5, 7: 173, 9: 2690, 11: 35987}
-
-
-def numerator_tail_checks(n: int, numerator: int) -> NumeratorTailReport:
-    """Verify the numerator tail '4', n-5 zeroes, '9' (from n = 6 on) and
-    the longest consecutive-nines run against the published counts."""
-    if n < 5:
-        raise ValueError("tail checks are defined for n >= 5")
-    s = arith.to_digits(numerator)
-    if n >= 6:
-        tail = "4" + "0" * (n - 5) + "9"
-        tail_ok = s.endswith(tail)
-    else:
-        tail, tail_ok = None, None
-    nines = max(map(len, re.findall("9+", s)), default=0)
-    expected = _NINES_RUNS.get(n)
-    return NumeratorTailReport(
-        ends_with=tail,
-        tail_ok=tail_ok,
-        longest_nines_run=nines,
-        expected_nines_run=expected,
-        nines_run_ok=(nines == expected) if expected is not None else None,
-    )
 
 
 def write_coefficients(terms: Iterable[int], fp: IO[str]) -> None:

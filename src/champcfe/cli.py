@@ -43,6 +43,24 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, dict):
+        return "/".join(str(x) for x in value.values())
+    return "" if value is None else str(value)
+
+
+def _render(payload, fmt: str, text) -> str:
+    """A command's payload as JSON, as CSV with a header row (one record or a
+    list of them), or through the command's own text function."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        records = payload if isinstance(payload, list) else [payload]
+        rows = [list(records[0])] + [[_csv_cell(v) for v in r.values()] for r in records]
+        return "".join(",".join(row) + "\n" for row in rows)
+    return text(payload)
+
+
 def _require_deep(n: int, args: argparse.Namespace, ceiling: int, what: str) -> None:
     if n > ceiling:
         raise ValueError(
@@ -81,29 +99,13 @@ def _prediction_record(n: int, child: bool) -> dict:
     }
     if child:
         shape = predict.child_denominator_shape(n)
+        blocks = ("preamble_length", "nines_count", "penultimate_length", "zeroes_count")
         record["child_length"] = predict.child_length(n - 1)
-        record["child_shape"] = {
-            "preamble_length": shape.preamble_length,
-            "nines_count": shape.nines_count,
-            "penultimate_length": shape.penultimate_length,
-            "zeroes_count": shape.zeroes_count,
-            "total_length": shape.total_length,
-        }
+        record["child_shape"] = {**dict(zip(blocks, shape)), "total_length": sum(shape)}
     return record
 
 
-def _format_record(record: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(record, indent=2) + "\n"
-    if fmt == "csv":
-        keys = list(record)
-        row = []
-        for k in keys:
-            v = record[k]
-            if isinstance(v, dict):
-                v = "/".join(str(x) for x in v.values())
-            row.append("" if v is None else str(v))
-        return ",".join(keys) + "\n" + ",".join(row) + "\n"
+def _record_text(record: dict) -> str:
     width = max(len(k) for k in record)
     lines = [f"{k:<{width}}  {record[k]}" for k in record if record[k] is not None]
     return "\n".join(lines) + "\n"
@@ -111,7 +113,7 @@ def _format_record(record: dict, fmt: str) -> str:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     record = _prediction_record(args.hwm, args.child)
-    _emit(_format_record(record, args.format), args)
+    _emit(_render(record, args.format, _record_text), args)
     return 0
 
 
@@ -145,11 +147,7 @@ def _profile_text(profile_dict: dict) -> str:
 
 def _emit_profile(profile, args: argparse.Namespace) -> int:
     """Write a verification profile as JSON or text; its exit code."""
-    payload = profile.as_dict()
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args)
-    else:
-        _emit(_profile_text(payload), args)
+    _emit(_render(profile.as_dict(), args.format, _profile_text), args)
     return 0 if profile.status == verify.CONFIRMED else 2
 
 
@@ -165,33 +163,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _emit_profile(profile, args)
 
 
+def _classify_text(rows: list[dict]) -> str:
+    return "".join(
+        f"{r['index']:>8}  {r['length']:>12}  gen {r['generation']}\n" for r in rows
+    )
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     with open(args.coefficients) as fp:
         lengths = cfe.coefficient_digit_lengths(fp)
     entries = generations.classify(lengths)
-    fmt = args.format
-    if fmt == "json":
-        payload = [
-            {
-                "index": e.coefficient_index,
-                "length": e.digit_length,
-                "generation": e.generation,
-            }
-            for e in entries
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args)
-    elif fmt == "csv":
-        rows = ["index,length,generation"]
-        rows += [
-            f"{e.coefficient_index},{e.digit_length},{e.generation}" for e in entries
-        ]
-        _emit("\n".join(rows) + "\n", args)
-    else:
-        rows = [
-            f"{e.coefficient_index:>8}  {e.digit_length:>12}  gen {e.generation}"
-            for e in entries
-        ]
-        _emit("\n".join(rows) + "\n", args)
+    payload = [
+        {"index": e.coefficient_index, "length": e.digit_length, "generation": e.generation}
+        for e in entries
+    ]
+    _emit(_render(payload, args.format, _classify_text), args)
     scan = generations.child_positions(entries)
     if scan.violations:
         for v in scan.violations:

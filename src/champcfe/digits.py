@@ -56,10 +56,11 @@ class DigitPrefix:
 
 
 def position_of_power(m: int) -> int:
-    """Position of the first digit of 10**m: 1 + sum of 9*k*10**(k-1) for k<=m."""
+    """Position of the first digit of 10**m: 1 + sum of 9*k*10**(k-1) for
+    k <= m, in closed form 1 + ((9m - 1)*10**m + 1) / 9."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return 1 + sum(9 * k * 10 ** (k - 1) for k in range(1, m + 1))
+    return ((9 * m - 1) * 10**m + 10) // 9
 
 
 def position_of_integer(n: int) -> int:

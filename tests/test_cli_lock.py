@@ -27,9 +27,14 @@ def lock_cases() -> list[str]:
     for n in range(4, 8):
         for fmt in ("text", "json"):
             cases.append(f"verify --hwm {n} --error --format {fmt}")
+            cases.append(f"verify --hwm {n} --format {fmt}")
+        cases.append(f"verify --hwm {n} --no-next --format json")
     for k in (101, 357):
         cases.append(f"child --coefficient-index {k} --coefficients {{c8}}")
-    cases.append("classify --coefficients {c8}")
+        cases.append(f"child --coefficient-index {k} --coefficients {{c8}} --format json")
+    for fmt in ("text", "csv", "json"):
+        suffix = "" if fmt == "text" else f" --format {fmt}"
+        cases.append("classify --coefficients {c8}" + suffix)
     return cases
 
 

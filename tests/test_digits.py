@@ -44,6 +44,11 @@ def test_position_of_power(m, expected):
     assert position_of_power(m) == expected
 
 
+def test_position_of_power_closed_form_matches_the_block_sum():
+    for m in range(301):
+        assert position_of_power(m) == 1 + sum(9 * k * 10 ** (k - 1) for k in range(1, m + 1))
+
+
 def test_position_of_power_rejects_negative():
     with pytest.raises(ValueError):
         position_of_power(-1)

@@ -8,6 +8,7 @@ import pytest
 
 from champcfe import (
     CONFIRMED,
+    DEFAULT_DIGIT_BUDGET,
     SciDecimal,
     VIOLATION,
     DigitBudgetError,
@@ -18,15 +19,35 @@ from champcfe import (
     failure_tail,
     hwm_convergent,
     locate_position,
-    long_divide,
     measure_error,
     measure_ncd,
     verify_child,
     verify_hwm,
 )
+from champcfe import arith
 from champcfe.arith import first_difference
 
 HWM5 = (60_499_999_499, 490_050_000_000)
+
+
+def long_divide(
+    numerator: int,
+    denominator: int,
+    ndigits: int,
+    max_digits: int = DEFAULT_DIGIT_BUDGET,
+) -> str:
+    """First ndigits fractional digits of numerator/denominator < 1 by exact
+    integer division, truncated."""
+    if denominator <= 0:
+        raise ValueError("denominator must be positive")
+    if not 0 <= numerator < denominator:
+        raise ValueError("value must lie in [0, 1)")
+    if ndigits < 1:
+        raise ValueError("ndigits must be >= 1")
+    if ndigits > max_digits:
+        raise DigitBudgetError(requested=ndigits, budget=max_digits)
+    q = numerator * arith.pow10(ndigits) // denominator
+    return arith.to_digits(q).rjust(ndigits, "0")
 
 
 class TestLongDivide:
@@ -353,6 +374,18 @@ def run_fresh(code, env=os.environ, cwd=None):
         [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tail_window_covers_every_other_truth_requirement():
+    # verify_hwm sizes its truth by the failure-tail window alone
+    from champcfe import error_profile, ncd, required_prefix_position
+    from champcfe.verify import GUARD_DIGITS
+
+    for n in range(4, 301):
+        window = ncd(n) + len(failure_tail(n)) + 64
+        assert window >= required_prefix_position(n)
+        assert window >= required_prefix_position(n + 1)
+        assert window >= ncd(n) + n - 2 + len(error_profile(n).digits) + 1 + GUARD_DIGITS
 
 
 def test_library_leaves_decimal_context_alone():

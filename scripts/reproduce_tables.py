@@ -12,11 +12,10 @@ import sys
 import time
 
 from champcfe import (
-    cfe_extract,
     child_length,
     classify,
     digits_up_to,
-    hwm_convergent,
+    hwm_expansion,
     verify_child,
     verify_hwm,
 )
@@ -92,9 +91,7 @@ def main() -> int:
     profiles = level_summary(levels)
     efficiency(profiles)
 
-    truth = digits_up_to(80_000)
-    num, den = hwm_convergent(8, truth)
-    terms = cfe_extract(num, den, final_index_parity="odd")
+    terms = hwm_expansion(8, digits_up_to(80_000))[2]
     kids = {k: verify_child(k, terms) for k in (101, 357)}
     children(kids)
     child_shapes(kids)

@@ -8,7 +8,7 @@ from .cfe import (
     PrecisionError,
     cfe_extract,
     convergent_from_coefficients,
-    hwm_convergent,
+    hwm_expansion,
     naive_cfe,
     numerator_for_hwm,
     read_coefficients,

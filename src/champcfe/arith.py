@@ -1,12 +1,13 @@
 """Big-integer helpers shared by the digit and convergent machinery.
 
 Everything here works on plain Python ints. Conversions above a few
-thousand digits go through _radix, which splits them in halves and stays
-sub-quadratic where CPython's own int/str conversions are quadratic.
+thousand digits split the operand in halves, which stays sub-quadratic
+where CPython's own int/str conversions are quadratic.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 
 # plain int is the only backend; kept because benchmark results are stamped
@@ -47,9 +48,7 @@ def to_digits(n) -> str:
         raise ValueError("to_digits expects a non-negative integer")
     if n.bit_length() <= _LEAF_BITS:
         return str(n)
-    from ._radix import int_to_digits  # loaded on first use
-
-    return int_to_digits(n)
+    return _int_to_digits(n)
 
 
 def from_digits(s: str) -> int:
@@ -58,9 +57,44 @@ def from_digits(s: str) -> int:
         raise ValueError(f"not a decimal digit string: {s[:20]!r}")
     if len(s) <= _LEAF:
         return int(s)
-    from ._radix import digits_to_int  # loaded on first use
+    return _digits_to_int(s, 0, len(s))
 
-    return digits_to_int(s)
+
+# The two halving conversions recurse at module level: a nested function
+# that calls itself forms a reference cycle through its closure, which would
+# keep each converted operand alive until the next full garbage collection.
+
+
+def _digits_to_int(s: str, a: int, b: int) -> int:
+    """int(s[a:b]) for a validated digit string, halving around cached
+    powers; the low part split off is _LEAF * 2**i digits long."""
+    if b - a <= _LEAF:
+        return int(s[a:b])
+    k = _LEAF << (((b - a - 1) // _LEAF).bit_length() - 1)
+    return _digits_to_int(s, a, b - k) * pow10(k) + _digits_to_int(s, b - k, b)
+
+
+def _int_to_digits(n: int) -> str:
+    """str(n) for n >= 0: split by bits around powers of two held as exact
+    Decimals, as in _pylong.int_to_decimal; str() of a Decimal is linear."""
+    traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]
+    exact = decimal.Context(
+        decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=traps
+    )
+    with decimal.localcontext(exact):
+        pow2 = [decimal.Decimal(1 << _LEAF_BITS)]  # pow2[j] = 2**(_LEAF_BITS << j)
+        while _LEAF_BITS << len(pow2) < n.bit_length():
+            pow2.append(pow2[-1] * pow2[-1])
+        return str(_int_to_decimal(n, len(pow2) - 1, pow2))
+
+
+def _int_to_decimal(x: int, j: int, pow2: list) -> decimal.Decimal:
+    """x < 2**(_LEAF_BITS << (j + 1)) as an exact Decimal."""
+    if x.bit_length() <= _LEAF_BITS:
+        return decimal.Decimal(x)
+    w = _LEAF_BITS << j
+    lo = _int_to_decimal(x & ((1 << w) - 1), j - 1, pow2)
+    return _int_to_decimal(x >> w, j - 1, pow2) * pow2[j] + lo if x >> w else lo
 
 
 def first_difference(a: str, b: str) -> int | None:

@@ -1,19 +1,17 @@
 """Continued-fraction machinery: convergent numerators via the ceiling
-construction, coefficient extraction with the parity-corrected Euclidean
-algorithm, convergent reconstruction, and the slow digit-truncation method
-kept as an efficiency baseline.
+construction, coefficient extraction by the Euclidean algorithm, the
+odd-index expansion of each HWM convergent, convergent reconstruction, and
+the slow digit-truncation method kept as an efficiency baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Literal, Sequence
+from typing import IO, Iterable, Sequence
 
 from . import arith, predict
 from .digits import DigitPrefix, position_of_power
-
-FinalParity = Literal["even", "odd"]
 
 
 class PrecisionError(Exception):
@@ -56,25 +54,9 @@ def numerator_for_hwm(n: int, prefix: DigitPrefix) -> int:
     return -(-int(predict.denominator_sci(n).digits) * v // 10 ** (n - 2))
 
 
-def hwm_convergent(n: int, prefix: DigitPrefix) -> tuple[int, int]:
-    """(numerator, denominator) of the convergent before HWM #n."""
-    return numerator_for_hwm(n, prefix), predict.denominator(n)
-
-
-def cfe_extract(
-    numerator: int,
-    denominator: int,
-    final_index_parity: FinalParity | None = None,
-) -> list[int]:
-    """Continued-fraction coefficients of numerator/denominator by the
-    integer Euclidean algorithm, 0-indexed from the integer part.
-
-    The canonical expansion never ends in 1, so it cannot distinguish a
-    true final Y from Y-1 followed by 1. When the caller states the parity
-    the final index must have (odd for first-generation HWM convergents,
-    even for child convergents) and the canonical form ends on the wrong
-    side, the last term Y is split into Y-1, 1.
-    """
+def cfe_extract(numerator: int, denominator: int) -> list[int]:
+    """Canonical continued-fraction coefficients of numerator/denominator by
+    the integer Euclidean algorithm, 0-indexed from the integer part."""
     if denominator <= 0:
         raise ValueError("denominator must be positive")
     if numerator < 0:
@@ -85,16 +67,21 @@ def cfe_extract(
         q, r = divmod(a, b)
         terms.append(q)
         a, b = b, r
-    if final_index_parity is not None:
-        want_odd = final_index_parity == "odd"
-        last = len(terms) - 1
-        if (last % 2 == 1) != want_odd:
-            # Y becomes Y-1, 1; a lone unit term [1] becomes [0, 1]
-            if terms[-1] < 2 and len(terms) > 1:
-                raise ValueError("cannot parity-split a trailing 1")
-            terms[-1] -= 1
-            terms.append(1)
     return terms
+
+
+def hwm_expansion(n: int, prefix: DigitPrefix) -> tuple[int, int, list[int]]:
+    """(numerator, denominator, coefficients) of the convergent before HWM #n.
+
+    The convergent lies above the constant, so its expansion ends on an odd
+    index; where the canonical one ends on an even index, its last term Y
+    is written as the equal pair Y-1, 1 (the two expansions of a rational).
+    """
+    num, den = numerator_for_hwm(n, prefix), predict.denominator(n)
+    terms = cfe_extract(num, den)
+    if len(terms) % 2:
+        terms[-1:] = [terms[-1] - 1, 1]
+    return num, den, terms
 
 
 def convergent_from_coefficients(terms: Sequence[int]) -> Fraction:

@@ -121,8 +121,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     n = args.hwm
     _require_deep(n, args, MAX_COMPUTE_HWM, "coefficient computation")
     prefix = digits_up_to(cfe.required_prefix_position(n), max_digits=args.max_digits)
-    num, den = cfe.hwm_convergent(n, prefix)
-    terms = cfe.cfe_extract(num, den, final_index_parity="odd")
+    num, _, terms = cfe.hwm_expansion(n, prefix)
     with open(args.out, "w", newline="") as fp:
         cfe.write_coefficients(terms, fp)
     if args.emit_numerator:
@@ -307,7 +306,6 @@ def main(argv: list[str] | None = None) -> int:
         verify.InsufficientTruthError,
         ValueError,
         OSError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

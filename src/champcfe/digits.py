@@ -51,9 +51,6 @@ class DigitPrefix:
         """The digits read as an integer V, so the value is V / 10**last_position."""
         return arith.from_digits(self.digits)
 
-    def __len__(self) -> int:
-        return len(self.digits)
-
 
 def position_of_power(m: int) -> int:
     """Position of the first digit of 10**m: 1 + sum of 9*k*10**(k-1) for

@@ -137,13 +137,12 @@ def measure_error(
     denominator: int,
     truth: DigitPrefix,
     mantissa_digits: int,
-    guard_digits: int = GUARD_DIGITS,
 ) -> SciDecimal:
     """Leading mantissa digits and exponent of (convergent - truncation),
     exact. Positive while the convergent runs above the constant.
 
     The truncation stands in for the constant itself, so the prefix must
-    reach guard_digits past the last reported mantissa digit; the check is
+    reach GUARD_DIGITS past the last reported mantissa digit; the check is
     made against the measured exponent and failure names the requirement.
     On a prefix far too short the measurement sees only the truncation
     artifact, so the named requirement is a lower bound that grows on
@@ -152,12 +151,10 @@ def measure_error(
     if mantissa_digits < 1:
         raise ValueError("mantissa_digits must be >= 1")
     diff = _residual(numerator, denominator, truth)
-    return _error(diff, denominator, truth.last_position, mantissa_digits, guard_digits)
+    return _error(diff, denominator, truth.last_position, mantissa_digits)
 
 
-def _error(
-    diff: int, denominator: int, p: int, mantissa_digits: int, guard_digits: int
-) -> SciDecimal:
+def _error(diff: int, denominator: int, p: int, mantissa_digits: int) -> SciDecimal:
     """measure_error from the residual diff of a prefix ending at position p."""
     if diff == 0:
         raise InsufficientTruthError(
@@ -172,7 +169,7 @@ def _error(
     t = ad * 10**k // denominator if k >= 0 else ad // denominator // 10**-k
     ts = arith.to_digits(t)
     exponent = e0 + (len(ts) - 1 - mantissa_digits)
-    required = max(0, -exponent) + mantissa_digits + guard_digits
+    required = max(0, -exponent) + mantissa_digits + GUARD_DIGITS
     if p < required:
         raise InsufficientTruthError(required=required)
     return SciDecimal(sign, ts[:mantissa_digits], exponent)
@@ -256,10 +253,8 @@ def verify_hwm(
     # their guard (2n+6 past p_ncd, 15 at n = 4)
     truth = digits_up_to(p_ncd + len(p_tail) + 64, max_digits=max_digits)
 
-    den = predict.denominator(n)
-    num = cfe.numerator_for_hwm(n, truth)
+    num, den, terms = cfe.hwm_expansion(n, truth)
     coprime = math.gcd(num, den) == 1
-    terms = cfe.cfe_extract(num, den, final_index_parity="odd")
     k = len(terms)
     total_digits = sum(arith.digit_count(t) for t in terms)
 
@@ -286,7 +281,7 @@ def verify_hwm(
 
     err_obs = None
     if compute_error:
-        err_obs = _error(diff, den, truth.last_position, len(p_err.digits) + 1, GUARD_DIGITS)
+        err_obs = _error(diff, den, truth.last_position, len(p_err.digits) + 1)
         checks.append(_check("error", p_err, err_obs.round_to(len(p_err.digits))))
 
     num_digits = arith.to_digits(num)
@@ -301,8 +296,7 @@ def verify_hwm(
 
     next_len = None
     if check_next_hwm:
-        num2 = cfe.numerator_for_hwm(n + 1, truth)
-        terms2 = cfe.cfe_extract(num2, predict.denominator(n + 1), final_index_parity="odd")
+        terms2 = cfe.hwm_expansion(n + 1, truth)[2]
         next_len = arith.digit_count(terms2[k])
         checks.append(_check("prefix_stability", True, terms2[:k] == terms))
         checks.append(_check("hwm_length", predict.hwm_length(n), next_len))
@@ -381,7 +375,7 @@ def verify_child(
     truth = digits_up_to(need, max_digits=max_digits)
 
     diff = _residual(num, den, truth)
-    err_obs = _error(diff, den, truth.last_position, len(p_err.digits) + 1, GUARD_DIGITS)
+    err_obs = _error(diff, den, truth.last_position, len(p_err.digits) + 1)
     found = _first_failure(num, den, truth, diff)
     if found is None or found[0] > exp + 32:
         raise InsufficientTruthError(required=exp + 34)

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from champcfe import cfe_extract, digits_up_to, hwm_convergent
+from champcfe import digits_up_to, hwm_expansion
 
 # the oracles compare against int() and str() of operands far above the
 # interpreter's default 4,300-digit conversion cap; the library itself
@@ -19,5 +19,4 @@ def truth_80k():
 @pytest.fixture(scope="session")
 def level8_terms(truth_80k):
     """Coefficients of the convergent before HWM #8 (indices 0..525)."""
-    num, den = hwm_convergent(8, truth_80k)
-    return cfe_extract(num, den, final_index_parity="odd")
+    return hwm_expansion(8, truth_80k)[2]

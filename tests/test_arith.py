@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -86,6 +87,14 @@ def test_powers_of_ten_at_one_hundred_thousand_digits():
     n = 10**k + 1
     assert arith.to_digits(n) == "1" + "0" * (k - 1) + "1"
     assert arith.from_digits("9" * k) == 10**k - 1
+
+
+def test_conversions_leave_no_reference_cycles():
+    # a cycle would keep each converted operand alive until a full collection
+    s = "7" * (4 * LEAF + 7)
+    gc.collect()
+    assert arith.to_digits(arith.from_digits(s)) == s
+    assert gc.collect() == 0
 
 
 @given(bits=st.integers(min_value=1, max_value=80_000), seed=st.integers(0, 2**32))

@@ -14,7 +14,7 @@ from champcfe import (
     denominator,
     denominator_sci,
     digits_up_to,
-    hwm_convergent,
+    hwm_expansion,
     naive_cfe,
     longest_nines,
     nines_run,
@@ -73,11 +73,11 @@ class TestNumerator:
 class TestExtract:
     def test_level4_parity_split(self):
         assert cfe_extract(10, 81) == [0, 8, 10]
-        assert cfe_extract(10, 81, final_index_parity="odd") == [0, 8, 9, 1]
+        assert hwm_expansion(4, digits_up_to(1)) == (10, 81, [0, 8, 9, 1])
 
     def test_level5_extraction_verbatim(self):
-        terms = cfe_extract(60_499_999_499, 490_050_000_000, final_index_parity="odd")
-        assert terms == LEVEL5_TERMS
+        assert cfe_extract(60_499_999_499, 490_050_000_000) == LEVEL5_TERMS
+        assert hwm_expansion(5, digits_up_to(10))[2] == LEVEL5_TERMS
 
     def test_integer_input(self):
         assert cfe_extract(1, 1) == [1]
@@ -87,15 +87,19 @@ class TestExtract:
         with pytest.raises(ValueError):
             cfe_extract(1, 0)
 
-    def test_parity_already_satisfied_is_untouched(self):
-        assert cfe_extract(1, 8, final_index_parity="odd") == [0, 8]
-        assert cfe_extract(10, 81, final_index_parity="even") == [0, 8, 10]
-
-    def test_split_of_a_lone_unit_term(self):
-        assert cfe_extract(1, 1, final_index_parity="odd") == [0, 1]
-
     def test_common_factors_do_not_change_terms(self):
         assert cfe_extract(20, 162) == cfe_extract(10, 81)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_hwm_expansion_ends_on_an_odd_index(n, truth_80k):
+    # the canonical expansion ends on an even index exactly at levels 4, 7, 8
+    num, den, terms = hwm_expansion(n, truth_80k)
+    assert len(terms) % 2 == 0
+    assert convergent_from_coefficients(terms) == Fraction(num, den)
+    canonical = cfe_extract(num, den)
+    split = canonical[:-1] + [canonical[-1] - 1, 1]
+    assert terms == (split if n in (4, 7, 8) else canonical)
 
 
 class TestRebuild:
@@ -137,6 +141,7 @@ def test_round_trip_list_to_rational_to_list(terms):
 @settings(max_examples=200)
 def test_round_trip_rational_to_list_to_rational(num, den):
     terms = cfe_extract(num, den)
+    assert len(terms) == 1 or terms[-1] >= 2
     assert convergent_from_coefficients(terms) == Fraction(num, den)
 
 
@@ -172,7 +177,7 @@ class TestNaive:
         assert result.trusted_terms == 1
 
     def test_fourth_term_correct_via_convergent_method(self):
-        terms = cfe_extract(60_499_999_499, 490_050_000_000, final_index_parity="odd")
+        terms = cfe_extract(60_499_999_499, 490_050_000_000)
         assert terms[4] == 149083
 
     def test_first_wrong_term_against_level6_truth(self):
@@ -187,7 +192,7 @@ class TestNaive:
 
 class TestNumeratorTails:
     def test_nines_runs_and_tails(self, truth_80k):
-        nums = {n: to_digits(hwm_convergent(n, truth_80k)[0]) for n in (5, 6, 7, 8)}
+        nums = {n: to_digits(numerator_for_hwm(n, truth_80k)) for n in (5, 6, 7, 8)}
         assert len(longest_nines(nums[5])[0]) == nines_run(5) == 5
         assert numerator_tail(5) is None  # rule starts at level 6
         assert numerator_tail(6) == "409" and nums[6].endswith("409")

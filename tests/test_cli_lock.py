@@ -3,7 +3,9 @@
 cli_lock.json holds the SHA-256 of stdout for every argv below, recorded
 before the renderers, the profile serializers and the n = 4 and
 first-child special cases were consolidated; any change to what a user
-sees fails here. `{c8}` stands for a level-8 coefficient file.
+sees fails here. `{c8}` stands for a level-8 coefficient file. A compute
+case locks the pair (stdout, written coefficient file), recorded before
+the odd-index split moved into cfe.hwm_expansion; `{out}` is that file.
 """
 
 import hashlib
@@ -38,6 +40,10 @@ def lock_cases() -> list[str]:
     return cases
 
 
+def compute_cases() -> list[str]:
+    return [f"compute --hwm {n} --out {{out}} --emit-numerator" for n in range(4, 9)]
+
+
 def stdout_sha256(capsys, case: str, c8: Path) -> tuple[int, str]:
     code = main(case.format(c8=c8).split())
     out = capsys.readouterr().out
@@ -57,9 +63,18 @@ def lock():
 
 
 def test_lock_covers_every_case(lock):
-    assert sorted(lock) == sorted(lock_cases())
+    assert sorted(lock) == sorted(lock_cases() + compute_cases())
 
 
 @pytest.mark.parametrize("case", lock_cases())
 def test_stdout_is_unchanged(capsys, c8, lock, case):
     assert stdout_sha256(capsys, case, c8) == (0, lock[case])
+
+
+@pytest.mark.parametrize("case", compute_cases())
+def test_compute_output_is_unchanged(capsys, tmp_path, lock, case):
+    out = tmp_path / "terms.txt"
+    code = main(case.format(out=out).split())
+    stdout = capsys.readouterr().out
+    hashes = [hashlib.sha256(b).hexdigest() for b in (stdout.encode(), out.read_bytes())]
+    assert (code, hashes) == (0, lock[case])

@@ -7,7 +7,14 @@ exposes the 4,911,098-digit coefficient.
 
 import pytest
 
-from champcfe import DigitLocation, cfe_extract, digits_up_to, hwm_convergent, verify_child, verify_hwm
+from champcfe import (
+    DigitLocation,
+    digits_up_to,
+    hwm_expansion,
+    numerator_for_hwm,
+    verify_child,
+    verify_hwm,
+)
 from champcfe.arith import digit_count, to_digits
 
 pytestmark = pytest.mark.deep
@@ -29,8 +36,7 @@ def test_level9_full_verification():
 
 def test_level9_child_1221():
     truth = digits_up_to(500_000)
-    num, den = hwm_convergent(9, truth)
-    terms = cfe_extract(num, den, final_index_parity="odd")
+    terms = hwm_expansion(9, truth)[2]
     child = verify_child(1221, terms)
     assert child.status == "confirmed"
     assert str(child.error_observed.round_to(5)) == "-8.9992E-938890"
@@ -46,7 +52,7 @@ def test_level11_numerator_patterns():
     import re
 
     truth = digits_up_to(68_888_900)
-    num, _ = hwm_convergent(11, truth)
+    num = numerator_for_hwm(11, truth)
     s = to_digits(num)
     assert len(s) == 68_888_897
     assert s.endswith("4" + "0" * 6 + "9")

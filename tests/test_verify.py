@@ -17,7 +17,7 @@ from champcfe import (
     convergent_from_coefficients,
     digits_up_to,
     failure_tail,
-    hwm_convergent,
+    hwm_expansion,
     locate_position,
     measure_error,
     measure_ncd,
@@ -98,9 +98,7 @@ class TestMeasureError:
         assert err.round_to(2).digits == "91"
 
     def test_level6_rounding_matters(self, truth_80k):
-        from champcfe import hwm_convergent
-
-        num, den = hwm_convergent(6, truth_80k)
+        num, den, _ = hwm_expansion(6, truth_80k)
         err = measure_error(num, den, truth_80k, mantissa_digits=4)
         assert err.digits == "9009"  # raw leading digits
         assert str(err.round_to(3)) == "9.01E-2890"
@@ -115,9 +113,12 @@ class TestMeasureError:
         assert str(err.round_to(3)) == "-8.92E-5590"
 
     def test_monotone_refinement(self, truth_80k):
-        a = measure_error(*HWM5, truth_80k, mantissa_digits=6, guard_digits=10)
-        b = measure_error(*HWM5, truth_80k, mantissa_digits=6, guard_digits=20)
-        assert a == b
+        # a short truth that passes the guard reads the same mantissa as one
+        # about 80k digits longer
+        for n, short in ((5, 300), (6, 3_000)):
+            num, den, _ = hwm_expansion(n, truth_80k)
+            a = measure_error(num, den, digits_up_to(short), mantissa_digits=6)
+            assert a == measure_error(num, den, truth_80k, mantissa_digits=6)
 
     def test_insufficient_truth_names_requirement(self):
         with pytest.raises(InsufficientTruthError) as exc:
@@ -270,7 +271,7 @@ class TestConcurrency:
             )
         assert parallel == sequential
 
-    def test_parallel_radix_conversions_match_str(self):
+    def test_parallel_conversions_match_str(self):
         # each conversion runs in its own decimal context, which is per thread
         from concurrent.futures import ThreadPoolExecutor
 
@@ -310,7 +311,7 @@ class TestResidualObservations:
     def test_hwm_levels(self, n):
         profile = verify_hwm(n, check_next_hwm=False)
         truth = digits_up_to(verify_hwm_truth_length(n))
-        num, den = hwm_convergent(n, truth)
+        num, den, _ = hwm_expansion(n, truth)
         tail = failure_tail(n)
         m = len(profile.error_predicted.digits) + 1
         pos, loc, fails_as, obs_tail, error = expanded_observations(

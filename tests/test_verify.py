@@ -271,7 +271,7 @@ class TestConcurrency:
             )
         assert parallel == sequential
 
-    def test_parallel_conversions_match_str(self):
+    def test_parallel_radix_conversions_match_str(self):
         # each conversion runs in its own decimal context, which is per thread
         from concurrent.futures import ThreadPoolExecutor
 

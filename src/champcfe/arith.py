@@ -17,6 +17,12 @@ HAVE_GMPY2 = False
 _LEAF = 3000  # digits converted by int()/str() directly; CPython is fast below this
 _LEAF_BITS = 10_000  # about _LEAF digits
 
+# exact Decimal arithmetic, any rounding trapped: open with decimal.localcontext
+_TRAPS = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero]
+EXACT = decimal.Context(
+    decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=_TRAPS
+)
+
 
 @functools.lru_cache(maxsize=32)
 def pow10(k: int) -> int:
@@ -48,7 +54,21 @@ def to_digits(n) -> str:
         raise ValueError("to_digits expects a non-negative integer")
     if n.bit_length() <= _LEAF_BITS:
         return str(n)
-    return _int_to_digits(n)
+    return str(to_decimal(n))  # exponent 0, so str() is the plain digit string
+
+
+def to_decimal(n: int) -> decimal.Decimal:
+    """n as an exact Decimal with exponent 0, by halving around exact powers
+    of two as in _pylong.int_to_decimal; Decimal(n) is quadratic."""
+    if n < 0:
+        return to_decimal(-n).copy_negate()  # exact, needs no context
+    with decimal.localcontext(EXACT):
+        if n.bit_length() <= _LEAF_BITS:
+            return decimal.Decimal(n)
+        pow2 = [decimal.Decimal(1 << _LEAF_BITS)]  # pow2[j] = 2**(_LEAF_BITS << j)
+        while _LEAF_BITS << len(pow2) < n.bit_length():
+            pow2.append(pow2[-1] * pow2[-1])
+        return _int_to_decimal(n, len(pow2) - 1, pow2)
 
 
 def from_digits(s: str) -> int:
@@ -72,20 +92,6 @@ def _digits_to_int(s: str, a: int, b: int) -> int:
         return int(s[a:b])
     k = _LEAF << (((b - a - 1) // _LEAF).bit_length() - 1)
     return _digits_to_int(s, a, b - k) * pow10(k) + _digits_to_int(s, b - k, b)
-
-
-def _int_to_digits(n: int) -> str:
-    """str(n) for n >= 0: split by bits around powers of two held as exact
-    Decimals, as in _pylong.int_to_decimal; str() of a Decimal is linear."""
-    traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]
-    exact = decimal.Context(
-        decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=traps
-    )
-    with decimal.localcontext(exact):
-        pow2 = [decimal.Decimal(1 << _LEAF_BITS)]  # pow2[j] = 2**(_LEAF_BITS << j)
-        while _LEAF_BITS << len(pow2) < n.bit_length():
-            pow2.append(pow2[-1] * pow2[-1])
-        return str(_int_to_decimal(n, len(pow2) - 1, pow2))
 
 
 def _int_to_decimal(x: int, j: int, pow2: list) -> decimal.Decimal:

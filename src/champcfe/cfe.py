@@ -7,6 +7,7 @@ the slow digit-truncation method kept as an efficiency baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
@@ -34,24 +35,25 @@ def required_prefix_position(n: int) -> int:
 
 
 def numerator_for_hwm(n: int, prefix: DigitPrefix) -> int:
-    """Numerator as the ceiling of denominator * prefix value, computed in
-    integer arithmetic on exactly the required number of digits.
-
-    From n = 5 on the denominator is mantissa * 10**(p + 2 - n) with a short
-    mantissa, so the ceiling is that of mantissa * v / 10**(n - 2): a small
-    multiply and a power of ten of only n - 2 digits.
-
+    """Numerator as the ceiling of denominator * prefix value, on exactly the
+    required digits. From n = 5 on the denominator is a short mantissa times
+    10**(p + 2 - n), so this is the ceiling of mantissa * v / 10**(n - 2).
     For n = 4 the half-scale identity applies: ceil(40.5 * 0.1) = 5, then
-    doubled back to 10 over the true denominator predict.denominator(4).
-    """
+    doubled back to 10 over the true denominator predict.denominator(4)."""
+    return _numerator(n, prefix, arith.from_digits)
+
+
+def _numerator(n: int, prefix: DigitPrefix, parse):
+    """numerator_for_hwm on the value parse() reads: an int, or an exact Decimal."""
     p = required_prefix_position(n)
     if prefix.last_position < p:
         raise PrecisionError(required_position=p, got=prefix.last_position)
-    v = arith.from_digits(prefix.digits[: p + 1])
+    v = parse(prefix.digits[: p + 1])
     if n == 4:
-        half = -((-predict.denominator(4) * v) // (2 * 10**p))  # ceil(den*v / (2*10^p))
-        return 2 * half
-    return -(-int(predict.denominator_sci(n).digits) * v // 10 ** (n - 2))
+        q, r = divmod(predict.denominator(4) * v, 2 * 10**p)  # den*v / (2*10^p)
+        return 2 * (q + (r > 0))
+    q, r = divmod(int(predict.denominator_sci(n).digits) * v, 10 ** (n - 2))
+    return q + (r > 0)  # the ceiling for an int and a Decimal alike, as v >= 0
 
 
 def cfe_extract(numerator: int, denominator: int) -> list[int]:
@@ -89,6 +91,11 @@ def convergent_from_coefficients(terms: Sequence[int]) -> Fraction:
     inverse of cfe_extract on canonical lists."""
     if not terms:
         raise ValueError("empty coefficient list")
+    return Fraction(*_convergents(terms)[:2])
+
+
+def _convergents(terms: Sequence[int]) -> tuple[int, int, int, int]:
+    """(p, q, p_prev, q_prev): the last two convergents of terms, by the recurrence."""
     p_prev, q_prev = 1, 0
     p, q = terms[0], 1
     for a in terms[1:]:
@@ -96,7 +103,26 @@ def convergent_from_coefficients(terms: Sequence[int]) -> Fraction:
             raise ValueError("coefficients after the first must be >= 1")
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
-    return Fraction(p, q)
+    return p, q, p_prev, q_prev
+
+
+def _next_term_digits(terms: Sequence[int], a: Decimal, b: Decimal) -> int | None:
+    """Digits of the term at index k = len(terms), k even, in hwm_expansion's
+    expansion of a/b > 0, or None unless that expansion begins with terms.
+    The Euclid remainders after k steps come from the cofactors of the last
+    two convergents p/q, p_prev/q_prev of terms (Knuth, TAOCP 4.5.3):
+    x = q_prev*a - p_prev*b and y = p*b - q*a. The expansion begins with
+    terms exactly when x > y > 0, and the term at k then has j + (x > y*10**j)
+    digits, j = digits(x) - digits(y): the odd-index split writes x/y = 10**j
+    as 10**j - 1, 1, and any other integer x/y is at least 10**(j-1) + 1."""
+    p, q, p_prev, q_prev = (arith.to_decimal(c) for c in _convergents(terms))
+    with localcontext(arith.EXACT):
+        x = q_prev * a - p_prev * b
+        y = p * b - q * a
+        if not x > y > 0:
+            return None
+        j = x.adjusted() - y.adjusted()
+        return j + (x > y.scaleb(j))
 
 
 @dataclass(frozen=True)

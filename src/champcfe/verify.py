@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from decimal import Decimal, localcontext
 from typing import Sequence
 
 from . import arith, cfe, generations, predict
@@ -73,15 +74,15 @@ def _jsonable(value):
     return value
 
 
-def _residual(numerator: int, denominator: int, truth: DigitPrefix) -> int:
+def _residual(numerator: Decimal, denominator: Decimal, truth: DigitPrefix) -> Decimal:
     """num·10^P − V·den for the truncation V/10^P of the constant: the one
     exact quantity that every digit-level observation is read from."""
-    v = truth.as_scaled_integer()
-    return numerator * arith.pow10(truth.last_position) - v * denominator
+    with localcontext(arith.EXACT):
+        return numerator.scaleb(truth.last_position) - Decimal(truth.digits) * denominator
 
 
 def _first_failure(
-    numerator: int, denominator: int, truth: DigitPrefix, diff: int, tail_len: int = 0
+    numerator: Decimal, denominator: Decimal, truth: DigitPrefix, diff: Decimal, tail_len: int = 0
 ) -> tuple[int, DigitLocation, int, str] | None:
     """(first position where the expansion of numerator/denominator leaves
     truth, where that digit lives, what the expansion reads in place of the
@@ -96,19 +97,21 @@ def _first_failure(
         raise ValueError("denominator must be positive")
     if not 0 <= numerator < denominator:
         raise ValueError("value must lie in [0, 1)")
-    carry = diff // denominator
-    if not carry:
-        return None
-    size = len(truth.digits)
-    w = arith.digit_count(abs(carry)) + 1
-    while True:
-        w = min(w, size)
-        low = arith.from_digits(truth.digits[size - w :]) + carry
-        if 0 <= low < 10**w:  # always true once w == size, as 0 <= V + carry < 10^P
-            break
-        w *= 2
+    with localcontext(arith.EXACT):
+        carry, rem = divmod(diff, denominator)
+        carry -= rem < 0  # divmod truncates toward zero; the carry is the floor
+        if not carry:
+            return None
+        size = len(truth.digits)
+        w = carry.adjusted() + 2
+        while True:
+            w = min(w, size)
+            low = Decimal(truth.digits[size - w :]) + carry
+            if 0 <= low.scaleb(-w) < 1:  # always true once w == size, as 0 <= V + carry < 10^P
+                break
+            w *= 2
     base = size - w
-    conv = arith.to_digits(low).rjust(w, "0")
+    conv = str(low).rjust(w, "0")  # low has exponent 0: str() is its digits
     pos = base + arith.first_difference(conv, truth.digits[base:])
     loc = locate_position(pos)
     start = pos - loc.digit_ordinal + 1  # first digit of the failing integer
@@ -122,8 +125,8 @@ def measure_ncd(
 ) -> tuple[int, DigitLocation]:
     """Number of correct digits (the position of the first wrong one,
     counting the leading '0') and where that digit lives."""
-    diff = _residual(numerator, denominator, truth)
-    found = _first_failure(numerator, denominator, truth, diff)
+    num, den = arith.to_decimal(numerator), arith.to_decimal(denominator)
+    found = _first_failure(num, den, truth, _residual(num, den, truth))
     if found is None:
         raise InsufficientTruthError(
             required=truth.last_position + 2,
@@ -150,24 +153,24 @@ def measure_error(
     """
     if mantissa_digits < 1:
         raise ValueError("mantissa_digits must be >= 1")
-    diff = _residual(numerator, denominator, truth)
-    return _error(diff, denominator, truth.last_position, mantissa_digits)
+    num, den = arith.to_decimal(numerator), arith.to_decimal(denominator)
+    return _error(_residual(num, den, truth), den, truth.last_position, mantissa_digits)
 
 
-def _error(diff: int, denominator: int, p: int, mantissa_digits: int) -> SciDecimal:
+def _error(diff: Decimal, denominator: Decimal, p: int, mantissa_digits: int) -> SciDecimal:
     """measure_error from the residual diff of a prefix ending at position p."""
     if diff == 0:
         raise InsufficientTruthError(
             required=p + 2, detail="convergent equals the truncation exactly"
         )
     sign = 1 if diff > 0 else -1
-    ad = -diff if diff < 0 else diff
+    ad = diff.copy_abs()
     # the error is ad / (den·10^p); its leading digits take a power of ten
-    # about the size of the mantissa, not of 10^p
-    e0 = arith.digit_count(ad) - arith.digit_count(denominator) - p
+    # about the size of the mantissa, not of 10^p; // floors, as ad > 0
+    e0 = ad.adjusted() - denominator.adjusted() - p
     k = mantissa_digits - e0 - p
-    t = ad * 10**k // denominator if k >= 0 else ad // denominator // 10**-k
-    ts = arith.to_digits(t)
+    with localcontext(arith.EXACT):
+        ts = str(ad.scaleb(k) // denominator)
     exponent = e0 + (len(ts) - 1 - mantissa_digits)
     required = max(0, -exponent) + mantissa_digits + GUARD_DIGITS
     if p < required:
@@ -258,6 +261,7 @@ def verify_hwm(
     k = len(terms)
     total_digits = sum(arith.digit_count(t) for t in terms)
 
+    num, den = arith.to_decimal(num), Decimal(str(predict.denominator_sci(n)))
     diff = _residual(num, den, truth)
     found = _first_failure(num, den, truth, diff, len(p_tail))
     if found is None:
@@ -267,7 +271,7 @@ def verify_hwm(
         )
     pos, loc, fails_as, obs_tail = found
 
-    den_digits = arith.digit_count(den)
+    den_digits = den.adjusted() + 1  # den is read off its short form: str() may show an exponent
     parity = "even" if predict.parity_consistent(k) else "odd"
     checks = [
         _check("ncd", p_ncd, pos),
@@ -284,7 +288,7 @@ def verify_hwm(
         err_obs = _error(diff, den, truth.last_position, len(p_err.digits) + 1)
         checks.append(_check("error", p_err, err_obs.round_to(len(p_err.digits))))
 
-    num_digits = arith.to_digits(num)
+    num_digits = str(num)
     p_num_tail = predict.numerator_tail(n)
     if p_num_tail is not None:
         ok = num_digits.endswith(p_num_tail)
@@ -296,9 +300,13 @@ def verify_hwm(
 
     next_len = None
     if check_next_hwm:
-        terms2 = cfe.hwm_expansion(n + 1, truth)[2]
-        next_len = arith.digit_count(terms2[k])
-        checks.append(_check("prefix_stability", True, terms2[:k] == terms))
+        with localcontext(arith.EXACT):  # level n+1 shares the k terms: skip them
+            num2 = cfe._numerator(n + 1, truth, Decimal)
+        next_len = cfe._next_term_digits(terms, num2, Decimal(str(predict.denominator_sci(n + 1))))
+        stable = next_len is not None
+        if not stable:  # the full expansion, to report how far it strays
+            next_len = arith.digit_count(cfe.hwm_expansion(n + 1, truth)[2][k])
+        checks.append(_check("prefix_stability", True, stable))
         checks.append(_check("hwm_length", predict.hwm_length(n), next_len))
 
     return ConvergentProfile(
@@ -368,7 +376,7 @@ def verify_child(
     p_len = predict.child_length(m - 1)
 
     r = cfe.convergent_from_coefficients(terms[:k])
-    num, den = r.numerator, r.denominator
+    num, den = arith.to_decimal(r.numerator), arith.to_decimal(r.denominator)
 
     exp = -p_err.exponent
     need = exp + len(p_err.digits) + 1 + GUARD_DIGITS
@@ -381,7 +389,7 @@ def verify_child(
         raise InsufficientTruthError(required=exp + 34)
     pos, loc, fails_as, _ = found
 
-    shape = predict.parse_denominator_shape(arith.to_digits(den))
+    shape = predict.parse_denominator_shape(str(den))  # exponent 0: its digits
     parity = "odd" if predict.parity_consistent(k, generation=2) else "even"
     checks = [
         _check("error", p_err, err_obs.round_to(len(p_err.digits))),

@@ -1,5 +1,7 @@
+import decimal
 import gc
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,7 @@ def test_conversions_across_split_sizes(size):
         assert arith.from_digits("000" + s) == n
         assert arith.to_digits(n) == s
         assert arith.digit_count(n) == size
+        assert_exact_decimal(n, s)
 
 
 @pytest.mark.parametrize("k", [1, 2, 9, 300, 2999, 3000, 3001, 3010, 3011, 6021, 10**4, 30_103])
@@ -78,6 +81,28 @@ def test_powers_of_ten_and_neighbours(k):
         assert arith.digit_count(n) == len(s)
         assert arith.to_digits(n) == s
         assert arith.from_digits(s) == n
+        assert_exact_decimal(n, s)
+
+
+def assert_exact_decimal(n, s):
+    """to_decimal(±n) is Decimal(±s), with exponent 0 so its str() is s."""
+    d = arith.to_decimal(n)
+    assert d == Decimal(s) and d.as_tuple().exponent == 0 and str(d) == s
+    assert arith.to_decimal(-n) == Decimal("-" + s)
+
+
+def test_exact_context_traps_rounding_and_division_by_zero():
+    with decimal.localcontext(arith.EXACT):
+        assert Decimal(10) / 4 == Decimal("2.5")  # an exact quotient passes
+        with pytest.raises(decimal.DivisionByZero):
+            Decimal(1) / 0
+        with pytest.raises(decimal.Inexact):
+            Decimal("1.5").to_integral_exact()
+        # libmpdec fails at once on 1/3: it cannot allocate MAX_PREC digits
+        with pytest.raises((decimal.Inexact, MemoryError)):
+            Decimal(1) / 3
+        with pytest.raises(decimal.Inexact):
+            Decimal(f"9E+{decimal.MAX_EMAX}") * 10
 
 
 def test_powers_of_ten_at_one_hundred_thousand_digits():

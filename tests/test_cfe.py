@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,8 @@ from champcfe import (
     required_prefix_position,
     write_coefficients,
 )
-from champcfe.arith import to_digits
+from champcfe import arith, cfe
+from champcfe.arith import to_decimal, to_digits
 from champcfe.cfe import coefficient_digit_lengths
 
 # the coefficients of the convergent before HWM #5, verbatim
@@ -163,6 +165,60 @@ def test_extracted_convergents_are_lowest_terms(num, den):
     r = convergent_from_coefficients(terms)
     g = math.gcd(num, den)
     assert (r.numerator, r.denominator) == (num // g, den // g)
+
+
+def hwm_split(terms):
+    """hwm_expansion's rule: an odd-length list ends Y-1, 1 in place of Y."""
+    return terms[:-1] + [terms[-1] - 1, 1] if len(terms) % 2 else terms
+
+
+@st.composite
+def next_level_pairs(draw):
+    """(terms, A, B): an hwm_expansion-style list and a pair A/B whose
+    complete quotient after it is an integer, a power of ten or one of its
+    neighbours, or a continued fraction (greater or less than 1); or A/B is
+    the value of terms itself, or unrelated to it. A and B share a random
+    common factor."""
+    terms = hwm_split(draw(canonical_lists(max_length=12)))
+    kind = draw(st.sampled_from(["integer", "power", "fraction", "itself", "unrelated"]))
+    scale = draw(st.integers(1, 1000))
+    if kind == "unrelated":
+        return terms, draw(st.integers(1, 10**40)), draw(st.integers(1, 10**40))
+    if kind == "itself":
+        x = convergent_from_coefficients(terms)
+        return terms, x.numerator * scale, x.denominator * scale
+    if kind == "integer":
+        x = Fraction(draw(st.integers(1, 10**30)))
+    elif kind == "power":
+        x = Fraction(max(1, 10 ** draw(st.integers(0, 30)) + draw(st.sampled_from([-1, 0, 1]))))
+    else:
+        x = convergent_from_coefficients(draw(canonical_lists(max_length=8)))
+    for t in reversed(terms):
+        x = t + 1 / x
+    return terms, x.numerator * scale, x.denominator * scale
+
+
+@given(case=next_level_pairs())
+@settings(max_examples=400)
+def test_next_term_digits_matches_the_full_expansion(case):
+    # the cofactor jump against Euclid run from the start on A/B
+    terms, a, b = case
+    k = len(terms)
+    full = hwm_split(cfe_extract(a, b))
+    want = len(str(full[k])) if full[:k] == terms and len(full) > k else None
+    assert cfe._next_term_digits(terms, to_decimal(a), to_decimal(b)) == want
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_next_term_digits_at_the_hwm_levels(n, truth_80k):
+    terms = hwm_expansion(n, truth_80k)[2]
+    num, den, following = hwm_expansion(n + 1, truth_80k)
+    with localcontext(arith.EXACT):
+        a = cfe._numerator(n + 1, truth_80k, Decimal)
+    b = Decimal(str(denominator_sci(n + 1)))
+    assert (a, b) == (to_decimal(num), to_decimal(den))
+    assert following[: len(terms)] == terms
+    assert cfe._next_term_digits(terms, a, b) == len(str(following[len(terms)]))
 
 
 class TestNaive:

@@ -1,8 +1,9 @@
-"""Multi-minute verification levels, excluded by default.
+"""The deepest verification levels.
 
-Run with `pytest -m deep -v -s`. Level 9 alone reproduces the published
-NCD 5,888,883 and error 9.00001E-5,888,890, plus the level-10 chain that
-exposes the 4,911,098-digit coefficient.
+Level 9 runs in the default tier: it reproduces the published NCD
+5,888,883 and error 9.00001E-5,888,890, plus the level-10 chain that
+exposes the 4,911,098-digit coefficient. The tests marked deep take
+minutes and are excluded by default; run them with `pytest -m deep -v -s`.
 """
 
 import pytest
@@ -16,8 +17,6 @@ from champcfe import (
     verify_hwm,
 )
 from champcfe.arith import digit_count, to_digits
-
-pytestmark = pytest.mark.deep
 
 
 def test_level9_full_verification():
@@ -34,6 +33,7 @@ def test_level9_full_verification():
     print("\ndeep: level 9 confirmed, error 9.00001E-5888890, next length 4911098")
 
 
+@pytest.mark.deep
 def test_level9_child_1221():
     truth = digits_up_to(500_000)
     terms = hwm_expansion(9, truth)[2]
@@ -46,6 +46,7 @@ def test_level9_child_1221():
     print("\ndeep: child at 1221 confirmed, shape 33/449967/32/2885")
 
 
+@pytest.mark.deep
 def test_level11_numerator_patterns():
     """The 68.9M-digit numerator carries the published nine-run structure:
     a 35987 run plus a separate 165 run, and the 40000009 tail."""

@@ -260,15 +260,47 @@ class TestViolationPathway:
         assert failed == {"failing_integer"}
 
 
+class TestNextLevelCheck:
+    def test_runs_no_euclid_on_the_next_level(self, monkeypatch):
+        import champcfe.cfe as cfe
+
+        levels = []
+        real = cfe.hwm_expansion
+        monkeypatch.setattr(cfe, "hwm_expansion", lambda n, t: levels.append(n) or real(n, t))
+        assert verify_hwm(7).status == CONFIRMED
+        assert levels == [7]
+
+    def test_pair_off_the_level_n_expansion_falls_back(self, monkeypatch, truth_80k):
+        # moving the level-8 denominator two places leaves the level-7
+        # terms behind; the full level-8 expansion, which verify_hwm ran for
+        # every level before the cofactor check, gives index 162 two digits
+        import dataclasses
+
+        import champcfe.predict as predict
+
+        real = predict.denominator_sci
+
+        def shifted(m):
+            sci = real(m)
+            return dataclasses.replace(sci, exponent=sci.exponent + 2) if m == 8 else sci
+
+        monkeypatch.setattr(predict, "denominator_sci", shifted)
+        p = verify_hwm(7, compute_error=False)
+        assert p.next_hwm_length == 2
+        assert len(str(hwm_expansion(8, truth_80k)[2][p.coefficient_index])) == 2
+        failed = {c.field: c.observed for c in p.violations()}
+        assert failed == {"prefix_stability": False, "hwm_length": 2}
+
+
 class TestConcurrency:
     def test_parallel_verifications_match_sequential(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        sequential = {n: verify_hwm(n).as_dict() for n in (4, 5, 6)}
+        # levels 7 and 8 run the exact decimal context on megadigit operands
+        levels = (4, 5, 6, 7, 8)
+        sequential = {n: verify_hwm(n).as_dict() for n in levels}
         with ThreadPoolExecutor(max_workers=3) as pool:
-            parallel = dict(
-                zip((4, 5, 6), pool.map(lambda n: verify_hwm(n).as_dict(), (4, 5, 6)))
-            )
+            parallel = dict(zip(levels, pool.map(lambda n: verify_hwm(n).as_dict(), levels)))
         assert parallel == sequential
 
     def test_parallel_radix_conversions_match_str(self):
@@ -350,6 +382,13 @@ class TestResidualObservations:
         truth = digits_up_to(189)
         v = truth.as_scaled_integer()
         cases = [(v + 1, 10**189), (v - 1, 10**189), (v + 10**150, 10**189), (1233, 10**4)]
+        # residuals one unit below a multiple of den (0 and -2 den): the
+        # carry is the floor, one below what truncation toward zero gives
+        for c in (0, -2):
+            den = pow(v + c, -1, 10**189)  # den·(v + c) = 1 mod 10^189
+            num, rest = divmod(v * den + c * den - 1, 10**189)
+            assert rest == 0 and num * 10**189 - v * den == c * den - 1
+            cases.append((num, den))
         for num, den in cases:
             pos, loc, *_ = expanded_observations(num, den, truth, 189, 0, 3)
             assert measure_ncd(num, den, truth) == (pos, loc)

@@ -106,20 +106,38 @@ def _convergents(terms: Sequence[int]) -> tuple[int, int, int, int]:
     return p, q, p_prev, q_prev
 
 
-def _next_term_digits(terms: Sequence[int], a: Decimal, b: Decimal) -> int | None:
-    """Digits of the term at index k = len(terms), k even, in hwm_expansion's
-    expansion of a/b > 0, or None unless that expansion begins with terms.
-    The Euclid remainders after k steps come from the cofactors of the last
-    two convergents p/q, p_prev/q_prev of terms (Knuth, TAOCP 4.5.3):
-    x = q_prev*a - p_prev*b and y = p*b - q*a. The expansion begins with
-    terms exactly when x > y > 0, and the term at k then has j + (x > y*10**j)
-    digits, j = digits(x) - digits(y): the odd-index split writes x/y = 10**j
-    as 10**j - 1, 1, and any other integer x/y is at least 10**(j-1) + 1."""
-    p, q, p_prev, q_prev = (arith.to_decimal(c) for c in _convergents(terms))
+def _next_term_digits(
+    p: Decimal, q: Decimal, q_prev: Decimal, a: Decimal, b: Decimal
+) -> int | None:
+    """Digits of the term at index k in hwm_expansion's expansion of a/b > 0,
+    or None unless that expansion begins with terms: a list of even length k
+    whose value is p/q and whose convergent before p/q has denominator q_prev,
+    as _convergents gives them.
+
+    After k Euclid steps on (a, b) the remainders are y = p*b - q*a and x,
+    and b = q*x + q_prev*y for every integer pair, because the matrix of the
+    k terms has determinant 1 when k is even (Knuth, TAOCP 4.5.3). So x is
+    the exact quotient (b - q_prev*y) / q; a nonzero remainder means the
+    cofactors do not belong together and raises ArithmeticError. The
+    expansion begins with terms exactly when x > y > 0, and the term at k
+    then has j + (x > y*10**j) digits, j = digits(x) - digits(y): the
+    odd-index split writes x/y = 10**j as 10**j - 1, 1, and any other
+    integer x/y is at least 10**(j-1) + 1.
+
+    Pass q and b in short form, a few significant digits times a power of
+    ten (predict.denominator_sci): p*b and q*a are then short multiplies
+    however long p and a are, and q_prev*y, of two level-n sized factors,
+    is the only general product.
+    """
     with localcontext(arith.EXACT):
-        x = q_prev * a - p_prev * b
         y = p * b - q * a
-        if not x > y > 0:
+        if not y > 0:
+            return None
+        # divmod, not /: under EXACT an inexact / fails with MemoryError, not Inexact
+        x, r = divmod(b - q_prev * y, q)
+        if r:
+            raise ArithmeticError("q_prev and q are not consecutive denominators of p/q")
+        if not x > y:
             return None
         j = x.adjusted() - y.adjusted()
         return j + (x > y.scaleb(j))

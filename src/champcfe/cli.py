@@ -19,7 +19,7 @@ from .digits import DEFAULT_DIGIT_BUDGET, DigitBudgetError, digits_up_to
 
 ENV_BUDGET = "CHAMPCFE_MAX_DIGITS"
 
-DEEP_HWM = 9  # levels from here up need an explicit opt-in
+DEEP_HWM = 10  # levels from here up need an explicit opt-in
 MAX_VERIFY_HWM = 10
 MAX_COMPUTE_HWM = 11
 

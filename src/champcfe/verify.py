@@ -10,7 +10,6 @@ machine-readable field diff.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from decimal import Decimal, localcontext
 from typing import Sequence
@@ -256,12 +255,15 @@ def verify_hwm(
     # their guard (2n+6 past p_ncd, 15 at n = 4)
     truth = digits_up_to(p_ncd + len(p_tail) + 64, max_digits=max_digits)
 
-    num, den, terms = cfe.hwm_expansion(n, truth)
-    coprime = math.gcd(num, den) == 1
+    _, den_int, terms = cfe.hwm_expansion(n, truth)
+    p, q, _, q_prev = cfe._convergents(terms)
+    coprime = q == den_int  # the recurrence gives p/q in lowest terms
     k = len(terms)
     total_digits = sum(arith.digit_count(t) for t in terms)
 
-    num, den = arith.to_decimal(num), Decimal(str(predict.denominator_sci(n)))
+    with localcontext(arith.EXACT):
+        num = cfe._numerator(n, truth, Decimal)
+    den = Decimal(str(predict.denominator_sci(n)))
     diff = _residual(num, den, truth)
     found = _first_failure(num, den, truth, diff, len(p_tail))
     if found is None:
@@ -302,7 +304,9 @@ def verify_hwm(
     if check_next_hwm:
         with localcontext(arith.EXACT):  # level n+1 shares the k terms: skip them
             num2 = cfe._numerator(n + 1, truth, Decimal)
-        next_len = cfe._next_term_digits(terms, num2, Decimal(str(predict.denominator_sci(n + 1))))
+        den2 = Decimal(str(predict.denominator_sci(n + 1)))
+        p, q = (num, den) if coprime else map(arith.to_decimal, (p, q))
+        next_len = cfe._next_term_digits(p, q, arith.to_decimal(q_prev), num2, den2)
         stable = next_len is not None
         if not stable:  # the full expansion, to report how far it strays
             next_len = arith.digit_count(cfe.hwm_expansion(n + 1, truth)[2][k])
@@ -375,8 +379,8 @@ def verify_child(
     p_shape = predict.child_denominator_shape(m)
     p_len = predict.child_length(m - 1)
 
-    r = cfe.convergent_from_coefficients(terms[:k])
-    num, den = arith.to_decimal(r.numerator), arith.to_decimal(r.denominator)
+    p, q = cfe._convergents(terms[:k])[:2]  # the recurrence gives lowest terms
+    num, den = arith.to_decimal(p), arith.to_decimal(q)
 
     exp = -p_err.exponent
     need = exp + len(p_err.digits) + 1 + GUARD_DIGITS

@@ -174,19 +174,21 @@ def hwm_split(terms):
 
 @st.composite
 def next_level_pairs(draw):
-    """(terms, A, B): an hwm_expansion-style list and a pair A/B whose
+    """(terms, A, B, short): an hwm_expansion-style list and a pair A/B whose
     complete quotient after it is an integer, a power of ten or one of its
     neighbours, or a continued fraction (greater or less than 1); or A/B is
     the value of terms itself, or unrelated to it. A and B share a random
-    common factor."""
+    common factor. With short, the Decimal operands are passed with their
+    trailing zeros moved into the exponent, as verify_hwm passes them."""
     terms = hwm_split(draw(canonical_lists(max_length=12)))
     kind = draw(st.sampled_from(["integer", "power", "fraction", "itself", "unrelated"]))
     scale = draw(st.integers(1, 1000))
+    short = draw(st.booleans())
     if kind == "unrelated":
-        return terms, draw(st.integers(1, 10**40)), draw(st.integers(1, 10**40))
+        return terms, draw(st.integers(1, 10**40)), draw(st.integers(1, 10**40)), short
     if kind == "itself":
         x = convergent_from_coefficients(terms)
-        return terms, x.numerator * scale, x.denominator * scale
+        return terms, x.numerator * scale, x.denominator * scale, short
     if kind == "integer":
         x = Fraction(draw(st.integers(1, 10**30)))
     elif kind == "power":
@@ -195,30 +197,79 @@ def next_level_pairs(draw):
         x = convergent_from_coefficients(draw(canonical_lists(max_length=8)))
     for t in reversed(terms):
         x = t + 1 / x
-    return terms, x.numerator * scale, x.denominator * scale
+    return terms, x.numerator * scale, x.denominator * scale, short
+
+
+def next_term_digits(terms, a, b, short=False):
+    """cfe._next_term_digits on the cofactors of terms and the pair a/b."""
+    p, q, _, q_prev = cfe._convergents(terms)
+    ops = [to_decimal(v) for v in (p, q, q_prev, a, b)]
+    if short:
+        ops = [v.normalize(arith.EXACT) for v in ops]
+    return cfe._next_term_digits(*ops)
 
 
 @given(case=next_level_pairs())
 @settings(max_examples=400)
 def test_next_term_digits_matches_the_full_expansion(case):
     # the cofactor jump against Euclid run from the start on A/B
-    terms, a, b = case
+    terms, a, b, short = case
     k = len(terms)
     full = hwm_split(cfe_extract(a, b))
     want = len(str(full[k])) if full[:k] == terms and len(full) > k else None
-    assert cfe._next_term_digits(terms, to_decimal(a), to_decimal(b)) == want
+    assert next_term_digits(terms, a, b, short) == want
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_next_term_digits_at_the_hwm_levels(n, truth_80k):
-    terms = hwm_expansion(n, truth_80k)[2]
-    num, den, following = hwm_expansion(n + 1, truth_80k)
+    # the operands verify_hwm passes: Decimal ceiling numerators, short-form
+    # denominators, and q_prev from the recurrence
+    num, den, terms = hwm_expansion(n, truth_80k)
+    num2, den2, following = hwm_expansion(n + 1, truth_80k)
     with localcontext(arith.EXACT):
+        p = cfe._numerator(n, truth_80k, Decimal)
         a = cfe._numerator(n + 1, truth_80k, Decimal)
-    b = Decimal(str(denominator_sci(n + 1)))
-    assert (a, b) == (to_decimal(num), to_decimal(den))
+    q, b = (Decimal(str(denominator_sci(m))) for m in (n, n + 1))
+    q_prev = to_decimal(cfe._convergents(terms)[3])
+    assert (p, q, a, b) == tuple(map(to_decimal, (num, den, num2, den2)))
     assert following[: len(terms)] == terms
-    assert cfe._next_term_digits(terms, a, b) == len(str(following[len(terms)]))
+    assert cfe._next_term_digits(p, q, q_prev, a, b) == len(str(following[len(terms)]))
+
+
+def test_next_term_digits_rejects_a_wrong_q_prev():
+    # an exact division, so a cofactor that does not belong raises an
+    # arithmetic error instead of a wrong length; a MemoryError, which an
+    # inexact / raises under the exact context, would escape pytest.raises
+    terms = hwm_split([0, 3, 7, 15, 1, 292])
+    p, q, _, q_prev = cfe._convergents(terms)
+    x = 10**12 + 7 + Fraction(1, 3)  # the complete quotient after terms
+    for t in reversed(terms):
+        x = t + 1 / x
+    a, b = (to_decimal(v) for v in (x.numerator, x.denominator))
+    p, q = to_decimal(p), to_decimal(q)
+    assert cfe._next_term_digits(p, q, to_decimal(q_prev), a, b) == 13
+    for wrong in (q_prev + 1, q_prev - 1, 2 * q_prev):
+        with pytest.raises(ArithmeticError):
+            cfe._next_term_digits(p, q, to_decimal(wrong), a, b)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_decimal_numerator_equals_the_int_one(n, truth_80k):
+    with localcontext(arith.EXACT):
+        num = cfe._numerator(n, truth_80k, Decimal)
+    assert num == to_decimal(numerator_for_hwm(n, truth_80k))
+    assert num.as_tuple().exponent == 0
+
+
+def test_recurrence_tells_lowest_terms(truth_80k):
+    # the recurrence's q == den stands in for gcd(num, den) == 1
+    pairs = [hwm_expansion(n, truth_80k) for n in range(4, 9)]
+    num, den, _ = pairs[2]
+    for g in (2, 3, 10, 7**20):  # level 6 scaled out of lowest terms
+        pairs.append((g * num, g * den, hwm_split(cfe_extract(g * num, g * den))))
+    coprime = [math.gcd(num, den) == 1 for num, den, _ in pairs]
+    assert coprime == [True] * 5 + [False] * 4
+    assert [cfe._convergents(terms)[1] == den for _, den, terms in pairs] == coprime
 
 
 class TestNaive:

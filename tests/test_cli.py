@@ -148,7 +148,7 @@ class TestCompute:
         assert path.read_bytes().count(b"\n") == 18
 
     def test_deep_gate(self, capsys, tmp_path):
-        code, _, err = run(capsys, "compute", "--hwm", "9", "--out", str(tmp_path / "x"))
+        code, _, err = run(capsys, "compute", "--hwm", "10", "--out", str(tmp_path / "x"))
         assert code == 1
         assert "--deep" in err
 
@@ -180,9 +180,18 @@ class TestVerify:
         assert "[ok ]" in out
 
     def test_deep_gate(self, capsys):
-        code, _, err = run(capsys, "verify", "--hwm", "9")
+        code, _, err = run(capsys, "verify", "--hwm", "10")
         assert code == 1
         assert "--deep" in err
+
+    def test_level9_needs_no_deep_flag(self, capsys, monkeypatch):
+        # level 9 verifies in seconds; the stub keeps this test cheap
+        profile = verify.verify_hwm(4, compute_error=False, check_next_hwm=False)
+        levels = []
+        monkeypatch.setattr(verify, "verify_hwm", lambda n, **kw: levels.append(n) or profile)
+        code, out, err = run(capsys, "verify", "--hwm", "9")
+        assert (code, err, levels) == (0, "", [9])
+        assert "status: confirmed" in out
 
     def test_ceiling(self, capsys):
         code, _, err = run(capsys, "verify", "--hwm", "11", "--deep")

@@ -21,6 +21,7 @@ from champcfe import (
     locate_position,
     measure_error,
     measure_ncd,
+    numerator_for_hwm,
     verify_child,
     verify_hwm,
 )
@@ -290,6 +291,33 @@ class TestNextLevelCheck:
         assert len(str(hwm_expansion(8, truth_80k)[2][p.coefficient_index])) == 2
         failed = {c.field: c.observed for c in p.violations()}
         assert failed == {"prefix_stability": False, "hwm_length": 2}
+
+    def test_pair_out_of_lowest_terms_steps_by_the_reduced_cofactors(
+        self, monkeypatch, truth_80k
+    ):
+        # doubling both halves of the level-7 pair keeps its value, so only
+        # the coprimality and the numerator's own digit patterns fail; the
+        # next-level check then runs on the convergent in lowest terms
+        import dataclasses
+
+        import champcfe.cfe as cfe
+        import champcfe.predict as predict
+
+        num = numerator_for_hwm(7, truth_80k)
+        real_sci, real_num = predict.denominator_sci, cfe._numerator
+
+        def doubled_sci(m):
+            sci = real_sci(m)  # 499900005 doubles to 999800010, as many digits
+            return dataclasses.replace(sci, digits=str(2 * int(sci.digits))) if m == 7 else sci
+
+        def doubled_num(m, prefix, parse):
+            return parse(str(2 * num)) if m == 7 else real_num(m, prefix, parse)
+
+        monkeypatch.setattr(predict, "denominator_sci", doubled_sci)
+        monkeypatch.setattr(cfe, "_numerator", doubled_num)
+        p = verify_hwm(7, compute_error=False)
+        assert {c.field for c in p.violations()} == {"lowest_terms", "numerator_tail"}
+        assert p.next_hwm_length == predict.hwm_length(7)
 
 
 class TestConcurrency:

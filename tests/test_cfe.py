@@ -116,8 +116,9 @@ class TestRebuild:
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(ValueError):
             convergent_from_coefficients([])
-        with pytest.raises(ValueError):
-            convergent_from_coefficients([0, 0, 3])
+        for terms in ([0, 0, 3], [1, 0, 2]):  # a0 may be 0, no later term
+            with pytest.raises(ValueError, match="after the first must be >= 1"):
+                convergent_from_coefficients(terms)
 
 
 def canonical_lists(max_length=40, max_term=10**6):

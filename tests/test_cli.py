@@ -272,6 +272,17 @@ class TestChild:
         assert profile["status"] == "confirmed"
         assert profile["denominator_shape"]["preamble"] == "3384585496849525154"
 
+    def test_zero_past_the_first_term_is_an_error(self, capsys, tmp_path, coefficients8):
+        terms = coefficients8.read_text().split("\n")
+        terms[50] = "0"
+        bad = tmp_path / "zero.txt"
+        bad.write_text("\n".join(terms))
+        code, out, err = run(
+            capsys, "child", "--coefficient-index", "101", "--coefficients", str(bad)
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: coefficients after the first must be >= 1\n"
+
     def test_violation_exit_code(self, capsys, coefficients8):
         code, out, _ = run(
             capsys,

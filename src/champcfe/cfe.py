@@ -87,23 +87,31 @@ def hwm_expansion(n: int, prefix: DigitPrefix) -> tuple[int, int, list[int]]:
 
 
 def convergent_from_coefficients(terms: Sequence[int]) -> Fraction:
-    """Rebuild the rational from coefficients via the standard recurrence;
+    """Rebuild the rational from coefficients as K(terms) / K(terms[1:]);
     inverse of cfe_extract on canonical lists."""
     if not terms:
         raise ValueError("empty coefficient list")
-    return Fraction(*_convergents(terms)[:2])
+    return Fraction(*(_continuant(s)[0] for s in (terms, terms[1:])))
 
 
-def _convergents(terms: Sequence[int]) -> tuple[int, int, int, int]:
-    """(p, q, p_prev, q_prev): the last two convergents of terms, by the recurrence."""
-    p_prev, q_prev = 1, 0
-    p, q = terms[0], 1
-    for a in terms[1:]:
-        if a < 1:
-            raise ValueError("coefficients after the first must be >= 1")
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-    return p, q, p_prev, q_prev
+def _continuant(seq: Sequence[int]) -> tuple[int, int]:
+    """(K(seq), K(seq[:-1])), 0 for the latter if seq is empty, of the
+    continuant K(x1..xm) = xm*K(x1..xm-1) + K(x1..xm-2), K() = 1 (Knuth,
+    TAOCP 4.5.3). a0..ak converges to K(a0..ak) / K(a1..ak), in lowest terms."""
+    if any(a < 1 for a in seq[1:]):
+        raise ValueError("coefficients after the first must be >= 1")
+    k, k_prev = 1, 0
+    for a in seq:
+        k, k_prev = a * k + k_prev, k
+    return k, k_prev
+
+
+def _short_pair(n: int, prefix: DigitPrefix) -> tuple[Decimal, Decimal]:
+    """Level n's numerator and short-form denominator as exact Decimals."""
+    sci = predict.denominator_sci(n)
+    with localcontext(arith.EXACT):
+        den = Decimal(sci.digits).scaleb(sci.exponent - (len(sci.digits) - 1))
+        return _numerator(n, prefix, Decimal), den
 
 
 def _next_term_digits(
@@ -111,8 +119,8 @@ def _next_term_digits(
 ) -> int | None:
     """Digits of the term at index k in hwm_expansion's expansion of a/b > 0,
     or None unless that expansion begins with terms: a list of even length k
-    whose value is p/q and whose convergent before p/q has denominator q_prev,
-    as _convergents gives them.
+    whose value is p/q in lowest terms and whose convergent before p/q has
+    denominator q_prev, that is (q, q_prev) = _continuant(terms[1:]).
 
     After k Euclid steps on (a, b) the remainders are y = p*b - q*a and x,
     and b = q*x + q_prev*y for every integer pair, because the matrix of the
@@ -124,20 +132,17 @@ def _next_term_digits(
     odd-index split writes x/y = 10**j as 10**j - 1, 1, and any other
     integer x/y is at least 10**(j-1) + 1.
 
-    Pass q and b in short form, a few significant digits times a power of
-    ten (predict.denominator_sci): p*b and q*a are then short multiplies
-    however long p and a are, and q_prev*y, of two level-n sized factors,
-    is the only general product.
+    Pass q and b in short form, as _short_pair gives them: p*b and q*a are
+    then short multiplies however long p and a are, and q_prev*y, of two
+    level-n sized factors, is the only general product.
     """
     with localcontext(arith.EXACT):
         y = p * b - q * a
-        if not y > 0:
-            return None
         # divmod, not /: under EXACT an inexact / fails with MemoryError, not Inexact
         x, r = divmod(b - q_prev * y, q)
         if r:
             raise ArithmeticError("q_prev and q are not consecutive denominators of p/q")
-        if not x > y:
+        if not x > y > 0:
             return None
         j = x.adjusted() - y.adjusted()
         return j + (x > y.scaleb(j))

@@ -256,14 +256,12 @@ def verify_hwm(
     truth = digits_up_to(p_ncd + len(p_tail) + 64, max_digits=max_digits)
 
     _, den_int, terms = cfe.hwm_expansion(n, truth)
-    p, q, _, q_prev = cfe._convergents(terms)
-    coprime = q == den_int  # the recurrence gives p/q in lowest terms
+    q, q_prev = cfe._continuant(terms[1:])
+    coprime = q == den_int  # the continuant is the denominator in lowest terms
     k = len(terms)
     total_digits = sum(arith.digit_count(t) for t in terms)
 
-    with localcontext(arith.EXACT):
-        num = cfe._numerator(n, truth, Decimal)
-    den = Decimal(str(predict.denominator_sci(n)))
+    num, den = cfe._short_pair(n, truth)
     diff = _residual(num, den, truth)
     found = _first_failure(num, den, truth, diff, len(p_tail))
     if found is None:
@@ -301,15 +299,13 @@ def verify_hwm(
         checks.append(_check("nines_run", p_nines, len(run[0]) if run else 0))
 
     next_len = None
-    if check_next_hwm:
-        with localcontext(arith.EXACT):  # level n+1 shares the k terms: skip them
-            num2 = cfe._numerator(n + 1, truth, Decimal)
-        den2 = Decimal(str(predict.denominator_sci(n + 1)))
-        p, q = (num, den) if coprime else map(arith.to_decimal, (p, q))
-        next_len = cfe._next_term_digits(p, q, arith.to_decimal(q_prev), num2, den2)
-        stable = next_len is not None
-        if not stable:  # the full expansion, to report how far it strays
-            next_len = arith.digit_count(cfe.hwm_expansion(n + 1, truth)[2][k])
+    if check_next_hwm:  # level n+1 shares the k terms: skip them
+        num2, den2 = cfe._short_pair(n + 1, truth)
+        next_len = coprime and cfe._next_term_digits(num, den, arith.to_decimal(q_prev), num2, den2)
+        stable = bool(next_len)
+        if not stable:  # out of lowest terms or off the terms: the full expansion
+            following = cfe.hwm_expansion(n + 1, truth)[2]
+            stable, next_len = following[:k] == terms, arith.digit_count(following[k])
         checks.append(_check("prefix_stability", True, stable))
         checks.append(_check("hwm_length", predict.hwm_length(n), next_len))
 
@@ -379,8 +375,7 @@ def verify_child(
     p_shape = predict.child_denominator_shape(m)
     p_len = predict.child_length(m - 1)
 
-    p, q = cfe._convergents(terms[:k])[:2]  # the recurrence gives lowest terms
-    num, den = arith.to_decimal(p), arith.to_decimal(q)
+    num, den = (arith.to_decimal(cfe._continuant(s)[0]) for s in (terms[:k], terms[1:k]))
 
     exp = -p_err.exponent
     need = exp + len(p_err.digits) + 1 + GUARD_DIGITS

@@ -1,7 +1,7 @@
 import io
 import math
 import random
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -168,6 +168,31 @@ def test_extracted_convergents_are_lowest_terms(num, den):
     assert (r.numerator, r.denominator) == (num // g, den // g)
 
 
+def near_powers():
+    return st.integers(0, 30).flatmap(lambda e: st.integers(max(1, 10**e - 2), 10**e + 2))
+
+
+def fraction_right_to_left(terms):
+    x = Fraction(terms[-1])
+    for t in reversed(terms[:-1]):
+        x = t + 1 / x
+    return x
+
+
+@given(
+    terms=st.tuples(
+        st.one_of(st.just(0), st.integers(0, 10**6), near_powers()),
+        st.lists(st.one_of(st.integers(1, 10**6), near_powers()), max_size=39),
+    ).map(lambda t: [t[0], *t[1]])
+)
+@settings(max_examples=300)
+def test_continuant_gives_the_convergent_and_the_one_before(terms):
+    (p, _), (q, q_prev) = cfe._continuant(terms), cfe._continuant(terms[1:])
+    x = fraction_right_to_left(terms)
+    assert (p, q) == (x.numerator, x.denominator)
+    assert q_prev == (fraction_right_to_left(terms[:-1]).denominator if len(terms) > 1 else 0)
+
+
 def hwm_split(terms):
     """hwm_expansion's rule: an odd-length list ends Y-1, 1 in place of Y."""
     return terms[:-1] + [terms[-1] - 1, 1] if len(terms) % 2 else terms
@@ -203,7 +228,7 @@ def next_level_pairs(draw):
 
 def next_term_digits(terms, a, b, short=False):
     """cfe._next_term_digits on the cofactors of terms and the pair a/b."""
-    p, q, _, q_prev = cfe._convergents(terms)
+    (p, _), (q, q_prev) = cfe._continuant(terms), cfe._continuant(terms[1:])
     ops = [to_decimal(v) for v in (p, q, q_prev, a, b)]
     if short:
         ops = [v.normalize(arith.EXACT) for v in ops]
@@ -227,12 +252,11 @@ def test_next_term_digits_at_the_hwm_levels(n, truth_80k):
     # denominators, and q_prev from the recurrence
     num, den, terms = hwm_expansion(n, truth_80k)
     num2, den2, following = hwm_expansion(n + 1, truth_80k)
-    with localcontext(arith.EXACT):
-        p = cfe._numerator(n, truth_80k, Decimal)
-        a = cfe._numerator(n + 1, truth_80k, Decimal)
-    q, b = (Decimal(str(denominator_sci(m))) for m in (n, n + 1))
-    q_prev = to_decimal(cfe._convergents(terms)[3])
+    (p, q), (a, b) = cfe._short_pair(n, truth_80k), cfe._short_pair(n + 1, truth_80k)
+    q_prev = to_decimal(cfe._continuant(terms[1:])[1])
     assert (p, q, a, b) == tuple(map(to_decimal, (num, den, num2, den2)))
+    for m, short in ((n, q), (n + 1, b)):  # the mantissa digits times a power of ten
+        assert short.as_tuple() == Decimal(str(denominator_sci(m))).as_tuple()
     assert following[: len(terms)] == terms
     assert cfe._next_term_digits(p, q, q_prev, a, b) == len(str(following[len(terms)]))
 
@@ -242,7 +266,7 @@ def test_next_term_digits_rejects_a_wrong_q_prev():
     # arithmetic error instead of a wrong length; a MemoryError, which an
     # inexact / raises under the exact context, would escape pytest.raises
     terms = hwm_split([0, 3, 7, 15, 1, 292])
-    p, q, _, q_prev = cfe._convergents(terms)
+    (p, _), (q, q_prev) = cfe._continuant(terms), cfe._continuant(terms[1:])
     x = 10**12 + 7 + Fraction(1, 3)  # the complete quotient after terms
     for t in reversed(terms):
         x = t + 1 / x
@@ -256,21 +280,20 @@ def test_next_term_digits_rejects_a_wrong_q_prev():
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_decimal_numerator_equals_the_int_one(n, truth_80k):
-    with localcontext(arith.EXACT):
-        num = cfe._numerator(n, truth_80k, Decimal)
-    assert num == to_decimal(numerator_for_hwm(n, truth_80k))
+    num, den = cfe._short_pair(n, truth_80k)
+    assert (num, den) == (to_decimal(numerator_for_hwm(n, truth_80k)), to_decimal(denominator(n)))
     assert num.as_tuple().exponent == 0
 
 
 def test_recurrence_tells_lowest_terms(truth_80k):
-    # the recurrence's q == den stands in for gcd(num, den) == 1
+    # the continuant's q == den stands in for gcd(num, den) == 1
     pairs = [hwm_expansion(n, truth_80k) for n in range(4, 9)]
     num, den, _ = pairs[2]
     for g in (2, 3, 10, 7**20):  # level 6 scaled out of lowest terms
         pairs.append((g * num, g * den, hwm_split(cfe_extract(g * num, g * den))))
     coprime = [math.gcd(num, den) == 1 for num, den, _ in pairs]
     assert coprime == [True] * 5 + [False] * 4
-    assert [cfe._convergents(terms)[1] == den for _, den, terms in pairs] == coprime
+    assert [cfe._continuant(terms[1:])[0] == den for _, den, terms in pairs] == coprime
 
 
 class TestNaive:

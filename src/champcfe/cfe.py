@@ -95,8 +95,8 @@ def convergent_from_coefficients(terms: Sequence[int]) -> Fraction:
 
 
 def _continuant(seq: Sequence[int]) -> tuple[int, int]:
-    """(K(seq), K(seq[:-1])), 0 for the latter if seq is empty, of the
-    continuant K(x1..xm) = xm*K(x1..xm-1) + K(x1..xm-2), K() = 1 (Knuth,
+    """(K(seq), K(seq[:-1])) for the continuant K(x1..xm) = xm*K(x1..xm-1)
+    + K(x1..xm-2), K() = 1, with 0 in second place for an empty seq (Knuth,
     TAOCP 4.5.3). a0..ak converges to K(a0..ak) / K(a1..ak), in lowest terms."""
     if any(a < 1 for a in seq[1:]):
         raise ValueError("coefficients after the first must be >= 1")

@@ -249,7 +249,7 @@ def test_next_term_digits_matches_the_full_expansion(case):
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_next_term_digits_at_the_hwm_levels(n, truth_80k):
     # the operands verify_hwm passes: Decimal ceiling numerators, short-form
-    # denominators, and q_prev from the recurrence
+    # denominators, and q_prev from the continuant
     num, den, terms = hwm_expansion(n, truth_80k)
     num2, den2, following = hwm_expansion(n + 1, truth_80k)
     (p, q), (a, b) = cfe._short_pair(n, truth_80k), cfe._short_pair(n + 1, truth_80k)

@@ -292,56 +292,46 @@ class TestNextLevelCheck:
         failed = {c.field: c.observed for c in p.violations()}
         assert failed == {"prefix_stability": False, "hwm_length": 2}
 
-    def test_pair_out_of_lowest_terms_steps_by_the_reduced_cofactors(
-        self, monkeypatch, truth_80k
-    ):
-        # doubling both halves of the level-7 pair keeps its value, so only
-        # the coprimality and the numerator's own digit patterns fail; the
-        # cofactors of the terms no longer match the pair, so the length is
-        # read off the full level-8 expansion
+    @staticmethod
+    def double_level7(monkeypatch, truth, shift8=0):
+        """Double both halves of the level-7 pair, which keeps its value and
+        its terms, and move the level-8 denominator shift8 places."""
         import dataclasses
 
         import champcfe.cfe as cfe
         import champcfe.predict as predict
 
-        num = numerator_for_hwm(7, truth_80k)
+        num = numerator_for_hwm(7, truth)
         real_sci, real_num = predict.denominator_sci, cfe._numerator
 
-        def doubled_sci(m):
-            sci = real_sci(m)  # 499900005 doubles to 999800010, as many digits
-            return dataclasses.replace(sci, digits=str(2 * int(sci.digits))) if m == 7 else sci
+        def sci(m):
+            s = real_sci(m)  # 499900005 doubles to 999800010, as many digits
+            if m == 8:
+                return dataclasses.replace(s, exponent=s.exponent + shift8)
+            return dataclasses.replace(s, digits=str(2 * int(s.digits))) if m == 7 else s
 
         def doubled_num(m, prefix, parse):
             return parse(str(2 * num)) if m == 7 else real_num(m, prefix, parse)
 
-        monkeypatch.setattr(predict, "denominator_sci", doubled_sci)
+        monkeypatch.setattr(predict, "denominator_sci", sci)
         monkeypatch.setattr(cfe, "_numerator", doubled_num)
+
+    def test_pair_out_of_lowest_terms_steps_by_the_reduced_cofactors(
+        self, monkeypatch, truth_80k
+    ):
+        # only the coprimality and the numerator's own digit patterns fail;
+        # the cofactors of the terms do not fit the doubled pair, so the
+        # length is read off the full level-8 expansion
+        import champcfe.predict as predict
+
+        self.double_level7(monkeypatch, truth_80k)
         p = verify_hwm(7, compute_error=False)
         assert {c.field for c in p.violations()} == {"lowest_terms", "numerator_tail"}
         assert p.next_hwm_length == predict.hwm_length(7)
 
     def test_pair_out_of_lowest_terms_and_off_the_expansion(self, monkeypatch, truth_80k):
-        # the doubled level-7 pair with the level-8 denominator moved two
-        # places: both reasons to leave the cofactor jump at once
-        import dataclasses
-
-        import champcfe.cfe as cfe
-        import champcfe.predict as predict
-
-        num = numerator_for_hwm(7, truth_80k)
-        real_sci, real_num = predict.denominator_sci, cfe._numerator
-
-        def doubled_and_shifted_sci(m):
-            sci = real_sci(m)
-            if m == 8:
-                return dataclasses.replace(sci, exponent=sci.exponent + 2)
-            return dataclasses.replace(sci, digits=str(2 * int(sci.digits))) if m == 7 else sci
-
-        def doubled_num(m, prefix, parse):
-            return parse(str(2 * num)) if m == 7 else real_num(m, prefix, parse)
-
-        monkeypatch.setattr(predict, "denominator_sci", doubled_and_shifted_sci)
-        monkeypatch.setattr(cfe, "_numerator", doubled_num)
+        # both reasons to leave the cofactor jump at once
+        self.double_level7(monkeypatch, truth_80k, shift8=2)
         p = verify_hwm(7, compute_error=False)
         failed = {c.field: c.observed for c in p.violations()}
         assert set(failed) == {"lowest_terms", "numerator_tail", "prefix_stability", "hwm_length"}

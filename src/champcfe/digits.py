@@ -10,11 +10,12 @@ at position 15.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import arith
 
 DEFAULT_DIGIT_BUDGET = 10**8
-_JOIN_INTS = 1 << 14  # integers per join: join() holds all their str objects at once
+_HUNDRED = [""] + [f"{k:02d}" for k in range(100)]  # h.join(_HUNDRED) is h00 h01 ... h99
 
 
 class DigitBudgetError(Exception):
@@ -88,9 +89,9 @@ def locate_position(p: int) -> DigitLocation:
 def digits_up_to(p: int, max_digits: int = DEFAULT_DIGIT_BUDGET) -> DigitPrefix:
     """First p fractional digits of the constant, preceded by the leading '0'.
 
-    Generation is string concatenation over consecutive integers, in
-    chunks of at most _JOIN_INTS equal-width integers, sized to the
-    request: linear in p.
+    Blocks of width 3 and up are built a hundred integers per join (str(h)
+    joined with _HUNDRED is 100h .. 100h+99). Only the last piece is trimmed,
+    so the final join is the one full-length copy: peak memory about 2*p.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
@@ -100,9 +101,13 @@ def digits_up_to(p: int, max_digits: int = DEFAULT_DIGIT_BUDGET) -> DigitPrefix:
     total = 1
     n, width = 1, 1
     while total <= p:
-        # integers of this width still needed, to the block end, at most _JOIN_INTS
-        hi = min(10**width, n + (p - total) // width + 1, n + _JOIN_INTS)
-        parts.append("".join(map(str, range(n, hi))))
+        # integers of this width still needed, to the block end
+        hi = min(10**width, n + (p - total) // width + 1)
+        mid = hi - hi % 100 if n >= 100 else n  # end of the whole hundreds
+        parts += map(str.join, map(str, range(n // 100, mid // 100)), repeat(_HUNDRED))
+        parts += map(str, range(mid, hi))
         total += (hi - n) * width
-        n, width = hi, len(str(hi))
-    return DigitPrefix("".join(parts)[: p + 1])
+        n, width = hi, width + 1
+    if total > p + 1:  # the last integer overshoots p
+        parts[-1] = parts[-1][: p + 1 - total]
+    return DigitPrefix("".join(parts))

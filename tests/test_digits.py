@@ -1,3 +1,7 @@
+import functools
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +99,64 @@ def test_sized_generation_across_block_boundaries(boundary):
 def test_digits_match_naive_oracle_large():
     p = 1_000_000
     assert digits_up_to(p).digits == naive_concatenation(p)
+
+
+ORACLE_P = 600_000  # past every width-3..6 edge window below
+
+
+@functools.cache
+def oracle():
+    """One naive string per module, shared by the edge and property tests."""
+    return naive_concatenation(ORACLE_P)
+
+
+def hundred_edges(width):
+    """The block start, a hundred edge inside the block, and an integer
+    ending a partial hundred, all of this width."""
+    start = 10 ** (width - 1)
+    edge = start + 12_300 % (8 * start)
+    return start, edge, edge + 57
+
+
+@pytest.mark.parametrize("width", [3, 4, 5, 6])
+def test_generation_at_hundred_edges(width):
+    for n in hundred_edges(width):
+        assert len(str(n)) == width
+        # every p from w + 2 before the integer's first digit to w + 2 past its last
+        first = position_of_integer(n)
+        for p in range(first - width - 2, first + 2 * width + 2):
+            assert p <= ORACLE_P
+            assert digits_up_to(p).digits == oracle()[: p + 1]
+
+
+def test_generation_at_the_seven_digit_block_start():
+    # about 5.89 M digits: check the window against the integers around 10**6
+    base = position_of_integer(999_900)
+    local = "".join(map(str, range(999_900, 1_000_100)))
+    start = position_of_integer(10**6)
+    for p in range(start - 9, start + 10):
+        got = digits_up_to(p).digits
+        assert len(got) == p + 1
+        assert got[base:] == local[: p + 1 - base]
+
+
+@given(p=st.integers(min_value=0, max_value=300_000))
+@settings(max_examples=200, deadline=None)
+def test_generation_matches_naive_oracle_property(p):
+    assert digits_up_to(p).digits == oracle()[: p + 1]
+
+
+def test_generation_peak_memory_stays_near_two_bytes_per_digit():
+    # the pieces and the one final join; a further full-length copy reads 3*p
+    p = 2_000_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        digits_up_to(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * p
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,14 @@
 """Continued-fraction machinery: convergent numerators via the ceiling
 construction, coefficient extraction by the Euclidean algorithm, the
-odd-index expansion of each HWM convergent, convergent reconstruction, and
+odd-index expansion of each HWM convergent, the level chain that builds
+each level's expansion from the one before, convergent reconstruction, and
 the slow digit-truncation method kept as an efficiency baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
@@ -40,17 +41,23 @@ def numerator_for_hwm(n: int, prefix: DigitPrefix) -> int:
     10**(p + 2 - n), so this is the ceiling of mantissa * v / 10**(n - 2).
     For n = 4 the half-scale identity applies: ceil(40.5 * 0.1) = 5, then
     doubled back to 10 over the true denominator predict.denominator(4)."""
-    return _numerator(n, prefix, arith.from_digits)
+    p = _checked_position(n, prefix)
+    return _numerator(n, arith.from_digits(prefix.digits[: p + 1]))
 
 
-def _numerator(n: int, prefix: DigitPrefix, parse):
-    """numerator_for_hwm on the value parse() reads: an int, or an exact Decimal."""
+def _checked_position(n: int, prefix: DigitPrefix) -> int:
+    """required_prefix_position(n), which prefix must reach."""
     p = required_prefix_position(n)
     if prefix.last_position < p:
         raise PrecisionError(required_position=p, got=prefix.last_position)
-    v = parse(prefix.digits[: p + 1])
-    if n == 4:
-        q, r = divmod(predict.denominator(4) * v, 2 * 10**p)  # den*v / (2*10^p)
+    return p
+
+
+def _numerator(n: int, v):
+    """numerator_for_hwm from the value v of the required digits: an int, or
+    an exact Decimal under arith.EXACT."""
+    if n == 4:  # den*v / (2*10^p)
+        q, r = divmod(predict.denominator(4) * v, 2 * 10 ** required_prefix_position(4))
         return 2 * (q + (r > 0))
     q, r = divmod(int(predict.denominator_sci(n).digits) * v, 10 ** (n - 2))
     return q + (r > 0)  # the ceiling for an int and a Decimal alike, as v >= 0
@@ -63,8 +70,13 @@ def cfe_extract(numerator: int, denominator: int) -> list[int]:
         raise ValueError("denominator must be positive")
     if numerator < 0:
         raise ValueError("numerator must be non-negative")
-    terms: list[int] = []
-    a, b = numerator, denominator
+    return _quotients(numerator, denominator)
+
+
+def _quotients(a, b) -> list:
+    """The Euclidean quotients of a/b, for ints a >= 0 < b or, under
+    arith.EXACT, integral Decimals; cfe_extract is the checked int entry."""
+    terms = []
     while b:
         q, r = divmod(a, b)
         terms.append(q)
@@ -80,10 +92,16 @@ def hwm_expansion(n: int, prefix: DigitPrefix) -> tuple[int, int, list[int]]:
     is written as the equal pair Y-1, 1 (the two expansions of a rational).
     """
     num, den = numerator_for_hwm(n, prefix), predict.denominator(n)
-    terms = cfe_extract(num, den)
+    return num, den, _odd_index_split(cfe_extract(num, den))
+
+
+def _odd_index_split(terms: list) -> list:
+    """terms, ending on an odd index: an odd-length list ends Y-1, 1 in place
+    of Y, the same value. Decimal terms need arith.EXACT for Y-1."""
     if len(terms) % 2:
-        terms[-1:] = [terms[-1] - 1, 1]
-    return num, den, terms
+        y = terms[-1]
+        terms[-1:] = [y - 1, type(y)(1)]
+    return terms
 
 
 def convergent_from_coefficients(terms: Sequence[int]) -> Fraction:
@@ -106,31 +124,44 @@ def _continuant(seq: Sequence[int]) -> tuple[int, int]:
     return k, k_prev
 
 
-def _short_pair(n: int, prefix: DigitPrefix) -> tuple[Decimal, Decimal]:
-    """Level n's numerator and short-form denominator as exact Decimals."""
+def _short_pair(n: int, prefix: DigitPrefix, value: Decimal) -> tuple[Decimal, Decimal]:
+    """Level n's numerator and short-form denominator as exact Decimals, where
+    value is Decimal(prefix.digits): the required digits are its leading ones,
+    so no level parses the prefix again."""
+    p = _checked_position(n, prefix)
     sci = predict.denominator_sci(n)
     with localcontext(arith.EXACT):
         den = Decimal(sci.digits).scaleb(sci.exponent - (len(sci.digits) - 1))
-        return _numerator(n, prefix, Decimal), den
+        # an exact floor: to_integral_value signals neither Inexact nor Rounded
+        v = value.scaleb(p - prefix.last_position).to_integral_value(ROUND_FLOOR)
+        return _numerator(n, v), den
 
 
-def _next_term_digits(
+def _exact_quotient(a: Decimal, b: Decimal) -> Decimal:
+    """a / b for integral Decimals, under arith.EXACT; ArithmeticError unless
+    b divides a."""
+    # divmod, not /: under EXACT an inexact / fails with MemoryError, not Inexact
+    quotient, remainder = divmod(a, b)
+    if remainder:
+        raise ArithmeticError("the cofactors do not belong together")
+    return quotient
+
+
+def _remainder_pair(
     p: Decimal, q: Decimal, q_prev: Decimal, a: Decimal, b: Decimal
-) -> int | None:
-    """Digits of the term at index k in hwm_expansion's expansion of a/b > 0,
-    or None unless that expansion begins with terms: a list of even length k
-    whose value is p/q in lowest terms and whose convergent before p/q has
-    denominator q_prev, that is (q, q_prev) = _continuant(terms[1:]).
+) -> tuple[Decimal, Decimal] | None:
+    """The remainders (x, y) that Euclid on a/b > 0 reaches after k steps, or
+    None unless hwm_expansion's expansion of a/b begins with terms: a list of
+    even length k whose value is p/q in lowest terms and whose convergent
+    before p/q has denominator q_prev, that is (q, q_prev) =
+    _continuant(terms[1:]).
 
-    After k Euclid steps on (a, b) the remainders are y = p*b - q*a and x,
-    and b = q*x + q_prev*y for every integer pair, because the matrix of the
-    k terms has determinant 1 when k is even (Knuth, TAOCP 4.5.3). So x is
-    the exact quotient (b - q_prev*y) / q; a nonzero remainder means the
-    cofactors do not belong together and raises ArithmeticError. The
-    expansion begins with terms exactly when x > y > 0, and the term at k
-    then has j + (x > y*10**j) digits, j = digits(x) - digits(y): the
-    odd-index split writes x/y = 10**j as 10**j - 1, 1, and any other
-    integer x/y is at least 10**(j-1) + 1.
+    The remainders are y = p*b - q*a and x, and b = q*x + q_prev*y for every
+    integer pair, because the matrix of the k terms has determinant 1 when k
+    is even (Knuth, TAOCP 4.5.3). So x is the exact quotient
+    (b - q_prev*y) / q; a nonzero remainder means the cofactors do not
+    belong together and raises ArithmeticError. The expansion begins with
+    terms exactly when x > y > 0, and its term at k is then floor(x/y).
 
     Pass q and b in short form, as _short_pair gives them: p*b and q*a are
     then short multiplies however long p and a are, and q_prev*y, of two
@@ -138,14 +169,77 @@ def _next_term_digits(
     """
     with localcontext(arith.EXACT):
         y = p * b - q * a
-        # divmod, not /: under EXACT an inexact / fails with MemoryError, not Inexact
-        x, r = divmod(b - q_prev * y, q)
-        if r:
-            raise ArithmeticError("q_prev and q are not consecutive denominators of p/q")
-        if not x > y > 0:
-            return None
-        j = x.adjusted() - y.adjusted()
+        x = _exact_quotient(b - q_prev * y, q)
+    return (x, y) if x > y > 0 else None
+
+
+def _next_term_digits(
+    p: Decimal, q: Decimal, q_prev: Decimal, a: Decimal, b: Decimal
+) -> int | None:
+    """Digits of the term at index k in hwm_expansion's expansion of a/b, read
+    off _remainder_pair's (x, y) without dividing, or None where that is None.
+    The term has j + (x > y*10**j) digits, j = digits(x) - digits(y): the
+    odd-index split writes x/y = 10**j as 10**j - 1, 1, and any other
+    integer x/y is at least 10**(j-1) + 1.
+    """
+    pair = _remainder_pair(p, q, q_prev, a, b)
+    if pair is None:
+        return None
+    x, y = pair
+    j = x.adjusted() - y.adjusted()
+    with localcontext(arith.EXACT):
         return j + (x > y.scaleb(j))
+
+
+def _extend(
+    x: Decimal, y: Decimal, q: Decimal, b: Decimal
+) -> tuple[list[Decimal], Decimal, bool]:
+    """(tail, q_prev, coprime) for a pair a/b with short-form denominator b
+    whose expansion continues the terms of p/q (denominator q) with Euclid on
+    _remainder_pair's x/y: hwm_expansion's terms of a/b past those of p/q,
+    the denominator of the convergent before a/b, and whether a/b is in
+    lowest terms. With no terms before, q = 0 and x/y = a/b.
+
+    Let R be the matrix of the tail terms after the first (the HWM term),
+    and (u, q) the first row of the cofactors through the HWM term ((1, 0)
+    with no terms before). Then R00 = K(tail[1:]) is y over g = gcd(x, y) =
+    gcd(a, b), the reduced denominator is b/g = u*R00 + q*R10 and q_prev =
+    u*R01 + q*R11. As tail[1:] has odd length, det R = -1, and eliminating
+    u gives q_prev = (b/g * R01 - q) / R00 = (b*R01 - g*q) / y: one exact
+    division, in which b stays short and the long HWM term enters no product.
+    """
+    with localcontext(arith.EXACT):
+        tail = _odd_index_split(_quotients(x, y))
+        r00, r01 = _continuant(tail[1:])
+        g = _exact_quotient(y, r00)
+        q_prev = _exact_quotient(b * r01 - g * q, y)
+    return tail, q_prev, g == 1
+
+
+def _level_chain(
+    pairs: Sequence[tuple[Decimal, Decimal]],
+) -> tuple[list[Decimal], Decimal] | None:
+    """hwm_expansion's terms of the last of pairs, the _short_pair of levels
+    4, 5, ..., as exact Decimals, and the denominator of the convergent
+    before it; None where a level's expansion does not begin with the terms
+    of the level before, or a level's pair is not in lowest terms.
+
+    Level 4 runs Euclid from the start. Each later level jumps past the
+    terms of the one before by _remainder_pair and runs Euclid only on the
+    rest, so no level walks the shared terms again.
+    """
+    terms: list[Decimal] = []
+    p = q = q_prev = Decimal(0)
+    for a, b in pairs:
+        pair = _remainder_pair(p, q, q_prev, a, b) if terms else (a, b)
+        if pair is None:
+            return None
+        tail, q_prev, coprime = _extend(*pair, q, b)
+        if not coprime:
+            return None
+        terms += tail
+        p, q = a, b
+    return terms, q_prev
 
 
 @dataclass(frozen=True)

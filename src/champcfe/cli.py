@@ -194,33 +194,49 @@ def cmd_child(args: argparse.Namespace) -> int:
     return _emit_profile(profile, args)
 
 
+def _bench_text(payload: dict) -> str:
+    note = "# reference scaling: roughly 12x memory and 24x time per level\n"
+    header = f"{'N':>3} {'c10 digits':>12} {'cfe digits':>12} {'time':>11} {'ratio':>9} status\n"
+    rows, previous = [], None
+    for r in payload["levels"]:
+        elapsed = r["seconds"]
+        ratio = "" if previous in (None, 0.0) else f"{elapsed / previous:8.1f}x"
+        rows.append(
+            f"{r['hwm']:>3} {r['c10_digits_used']:>12} {r['total_coefficient_digits']:>12} "
+            f"{elapsed:>10.3f}s {ratio:>9} {r['status']}\n"
+        )
+        previous = elapsed
+    return note + header + "".join(rows)
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
+    import platform  # only bench reads it: every other command starts without the import
+
     if args.max_hwm < 4:
         raise ValueError("benchmarking starts at HWM #4")
     _require_deep(args.max_hwm, args, MAX_VERIFY_HWM, "benchmarking")
-    rows = []
-    previous = None
-    status = 0
+    levels = []
     for n in range(4, args.max_hwm + 1):
         start = time.perf_counter()
         profile = verify.verify_hwm(
             n, compute_error=args.error, check_next_hwm=False, max_digits=args.max_digits
         )
-        elapsed = time.perf_counter() - start
-        ratio = "" if previous in (None, 0.0) else f"{elapsed / previous:8.1f}x"
-        rows.append(
-            f"{n:>3} {profile.c10_digits_used:>12} {profile.total_coefficient_digits:>12} "
-            f"{elapsed:>10.3f}s {ratio:>9} {profile.status}"
+        levels.append(
+            {
+                "hwm": n,
+                "c10_digits_used": profile.c10_digits_used,
+                "total_coefficient_digits": profile.total_coefficient_digits,
+                "seconds": time.perf_counter() - start,
+                "status": profile.status,
+            }
         )
-        if profile.status != verify.CONFIRMED:
-            status = 2
-        previous = elapsed
-    header = (
-        f"{'N':>3} {'c10 digits':>12} {'cfe digits':>12} {'time':>11} {'ratio':>9} status"
-    )
-    note = "# reference scaling: roughly 12x memory and 24x time per level\n"
-    _emit(note + header + "\n" + "\n".join(rows) + "\n", args)
-    return status
+    payload = {
+        "backend": "gmpy2" if arith.HAVE_GMPY2 else "int",
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+        "levels": levels,
+    }
+    _emit(_render(payload, args.format, _bench_text), args)
+    return 0 if all(r["status"] == verify.CONFIRMED for r in levels) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-hwm", type=int, required=True)
     p.add_argument("--error", action="store_true")
     p.add_argument("--deep", action="store_true")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_bench)
 

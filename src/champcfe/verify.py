@@ -73,11 +73,16 @@ def _jsonable(value):
     return value
 
 
-def _residual(numerator: Decimal, denominator: Decimal, truth: DigitPrefix) -> Decimal:
+def _residual(
+    numerator: Decimal, denominator: Decimal, truth: DigitPrefix, value: Decimal | None = None
+) -> Decimal:
     """num·10^P − V·den for the truncation V/10^P of the constant: the one
-    exact quantity that every digit-level observation is read from."""
+    exact quantity that every digit-level observation is read from. value,
+    where the caller has parsed it already, is V as a Decimal."""
+    if value is None:
+        value = Decimal(truth.digits)
     with localcontext(arith.EXACT):
-        return numerator.scaleb(truth.last_position) - Decimal(truth.digits) * denominator
+        return numerator.scaleb(truth.last_position) - value * denominator
 
 
 def _first_failure(
@@ -235,6 +240,10 @@ def verify_hwm(
     coefficient extraction, digit comparison, error measurement, and the
     next-level length check, each observation scored against its predictor.
 
+    The coefficients come from cfe._level_chain, each level's from the
+    level before; where a level leaves that chain, level n's own pair is
+    expanded on int instead, so the chain assumes nothing checked here.
+
     Checking the length of HWM #n itself requires the coefficients of the
     convergent before HWM #(n+1), where that term finally appears; with
     check_next_hwm the n+1 level is computed and its term at this level's
@@ -255,14 +264,24 @@ def verify_hwm(
     # their guard (2n+6 past p_ncd, 15 at n = 4)
     truth = digits_up_to(p_ncd + len(p_tail) + 64, max_digits=max_digits)
 
-    _, den_int, terms = cfe.hwm_expansion(n, truth)
-    q, q_prev = cfe._continuant(terms[1:])
-    coprime = q == den_int  # the continuant is the denominator in lowest terms
+    value = Decimal(truth.digits)  # the one parse: every level's prefix is its leading digits
+    last = n + 1 if check_next_hwm else n
+    pairs = [cfe._short_pair(m, truth, value) for m in range(4, last + 1)]
+    num, den = pairs[n - 4]
+    chain = cfe._level_chain(pairs[: n - 3])
+    if chain:  # each level from the one before, all in lowest terms
+        terms, q_prev = chain
+        coprime = True
+        total_digits = sum(t.adjusted() + 1 for t in terms)
+    else:  # off the chain: Euclid on level n's own pair
+        _, den_int, terms = cfe.hwm_expansion(n, truth)
+        q, q_prev = cfe._continuant(terms[1:])
+        coprime = q == den_int  # the continuant is the denominator in lowest terms
+        q_prev = arith.to_decimal(q_prev)
+        total_digits = sum(arith.digit_count(t) for t in terms)
     k = len(terms)
-    total_digits = sum(arith.digit_count(t) for t in terms)
 
-    num, den = cfe._short_pair(n, truth)
-    diff = _residual(num, den, truth)
+    diff = _residual(num, den, truth, value)
     found = _first_failure(num, den, truth, diff, len(p_tail))
     if found is None:
         raise InsufficientTruthError(
@@ -300,8 +319,7 @@ def verify_hwm(
 
     next_len = None
     if check_next_hwm:  # level n+1 shares the k terms: skip them
-        num2, den2 = cfe._short_pair(n + 1, truth)
-        next_len = coprime and cfe._next_term_digits(num, den, arith.to_decimal(q_prev), num2, den2)
+        next_len = coprime and cfe._next_term_digits(num, den, q_prev, *pairs[-1])
         stable = bool(next_len)
         if not stable:  # out of lowest terms or off the terms: the full expansion
             following = cfe.hwm_expansion(n + 1, truth)[2]

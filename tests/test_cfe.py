@@ -252,7 +252,8 @@ def test_next_term_digits_at_the_hwm_levels(n, truth_80k):
     # denominators, and q_prev from the continuant
     num, den, terms = hwm_expansion(n, truth_80k)
     num2, den2, following = hwm_expansion(n + 1, truth_80k)
-    (p, q), (a, b) = cfe._short_pair(n, truth_80k), cfe._short_pair(n + 1, truth_80k)
+    value = Decimal(truth_80k.digits)
+    (p, q), (a, b) = (cfe._short_pair(m, truth_80k, value) for m in (n, n + 1))
     q_prev = to_decimal(cfe._continuant(terms[1:])[1])
     assert (p, q, a, b) == tuple(map(to_decimal, (num, den, num2, den2)))
     for m, short in ((n, q), (n + 1, b)):  # the mantissa digits times a power of ten
@@ -278,9 +279,74 @@ def test_next_term_digits_rejects_a_wrong_q_prev():
             cfe._next_term_digits(p, q, to_decimal(wrong), a, b)
 
 
+@st.composite
+def split_rationals(draw):
+    """(terms, A, B, short): a random rational A/B and its expansion's first k
+    terms, k even and 0 included. In some draws a quotient is planted at
+    index k (1, near a power of ten, or up to 40 digits; there the list may
+    end), A and B share a common factor, or the last of terms is off by one.
+    short is as in next_level_pairs."""
+    full = draw(canonical_lists(max_length=16))
+    k = 2 * draw(st.integers(0, len(full) // 2))
+    if k < len(full) and draw(st.booleans()):
+        full[k] = draw(st.one_of(st.just(1), near_powers(), st.integers(2, 10**40)))
+        if draw(st.booleans()):
+            full = full[: k + 1]
+    x = convergent_from_coefficients(full)
+    scale = draw(st.one_of(st.just(1), st.integers(2, 10**12)))
+    terms = full[:k]
+    if terms and draw(st.integers(0, 3)) == 0:
+        terms[-1] += 1
+    return terms, x.numerator * scale, x.denominator * scale, draw(st.booleans())
+
+
+def chain_step(terms, a, b, short=False):
+    """One step of cfe._level_chain from the cofactors of terms to the pair
+    a/b: the jump, then Euclid on the rest; Euclid from the start when terms
+    is empty."""
+    (p, _), (q, q_prev) = cfe._continuant(terms), cfe._continuant(terms[1:])
+    ops = [to_decimal(v) for v in (p, q, q_prev, a, b)]
+    if short:
+        ops = [v.normalize(arith.EXACT) for v in ops]
+    p, q, q_prev, a, b = ops
+    if not terms:
+        return cfe._extend(a, b, Decimal(0), b)
+    pair = cfe._remainder_pair(p, q, q_prev, a, b)
+    return pair and cfe._extend(*pair, q, b)
+
+
+@given(case=split_rationals())
+@settings(max_examples=400)
+def test_chain_step_matches_euclid_from_the_start(case):
+    # the tail, the q_prev of the continuant over every term and the gcd
+    # verdict, or a failure wherever the expansion does not continue terms
+    terms, a, b, short = case
+    k = len(terms)
+    full = hwm_split(cfe_extract(a, b))
+    got = chain_step(terms, a, b, short)
+    if full[:k] != terms or len(full) == k:
+        assert got is None
+    else:
+        tail, q_prev, coprime = got
+        assert tail == full[k:]
+        assert q_prev == cfe._continuant(full[1:])[1]
+        assert coprime == (math.gcd(a, b) == 1)
+
+
+def test_level_chain_matches_the_int_expansion(truth_80k):
+    value = Decimal(truth_80k.digits)
+    pairs = [cfe._short_pair(m, truth_80k, value) for m in range(4, 9)]
+    for n in range(4, 9):
+        terms, q_prev = cfe._level_chain(pairs[: n - 3])
+        want = hwm_expansion(n, truth_80k)[2]
+        assert terms == want
+        assert q_prev == cfe._continuant(want[1:])[1]
+        assert [t.adjusted() + 1 for t in terms] == [len(str(t)) for t in want]
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_decimal_numerator_equals_the_int_one(n, truth_80k):
-    num, den = cfe._short_pair(n, truth_80k)
+    num, den = cfe._short_pair(n, truth_80k, Decimal(truth_80k.digits))
     assert (num, den) == (to_decimal(numerator_for_hwm(n, truth_80k)), to_decimal(denominator(n)))
     assert num.as_tuple().exponent == 0
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -317,6 +318,21 @@ class TestBench:
             profile = verify.verify_hwm(n, check_next_hwm=False)
             assert int(row.split()[2]) == profile.total_coefficient_digits
             assert row.split()[-1] == "confirmed"
+
+    def test_json_matches_the_table(self, capsys):
+        code, out, _ = run(capsys, "bench", "--max-hwm", "5", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["backend"] == "int"
+        assert payload["python"].split()[-1] == platform.python_version()
+        rows = payload["levels"]
+        assert [(r["hwm"], r["c10_digits_used"], r["total_coefficient_digits"]) for r in rows] == [
+            (4, 2, 4),
+            (5, 11, 24),
+        ]
+        assert all(r["status"] == "confirmed" and r["seconds"] > 0 for r in rows)
+        fields = {"hwm", "c10_digits_used", "total_coefficient_digits", "seconds", "status"}
+        assert set(rows[0]) == fields
 
     def test_violation_exit_code(self, capsys, monkeypatch):
         profile = verify.verify_hwm(4, compute_error=False, check_next_hwm=False)

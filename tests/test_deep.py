@@ -1,12 +1,15 @@
 """The deepest verification levels.
 
-Level 9 runs in the default tier, in a few seconds: it reproduces the
-published NCD 5,888,883 and error 9.00001E-5,888,890, plus the level-10
-chain that exposes the 4,911,098-digit coefficient, and confirms the
-child at coefficient 1221. The level-11 numerator test is marked deep:
-it generates 68.9 million digits and is excluded by default; run it with
-`pytest -m deep -v -s`.
+Level 9 runs in the default tier (its verification in about 0.3 s): it
+reproduces the published NCD 5,888,883 and error 9.00001E-5,888,890,
+plus the level-10 jump that exposes the 4,911,098-digit coefficient,
+matches the level chain against the int expansion, and confirms the
+child at coefficient 1221. Level 10's full verification and the level-11
+numerator are marked deep: each generates 68.9 million digits and is
+excluded by default; run them with `pytest -m deep -v -s`.
 """
+
+from decimal import Decimal
 
 import pytest
 
@@ -14,11 +17,17 @@ from champcfe import (
     DigitLocation,
     digits_up_to,
     hwm_expansion,
-    numerator_for_hwm,
     verify_child,
     verify_hwm,
 )
-from champcfe.arith import digit_count, to_digits
+from champcfe import cfe
+from champcfe.arith import digit_count
+
+
+@pytest.fixture(scope="module")
+def level9():
+    truth = digits_up_to(500_000)
+    return truth, hwm_expansion(9, truth)[2]
 
 
 def test_level9_full_verification():
@@ -35,9 +44,16 @@ def test_level9_full_verification():
     print("\ndeep: level 9 confirmed, error 9.00001E-5888890, next length 4911098")
 
 
-def test_level9_child_1221():
-    truth = digits_up_to(500_000)
-    terms = hwm_expansion(9, truth)[2]
+def test_level9_chain_matches_the_int_expansion(level9):
+    truth, want = level9
+    value = Decimal(truth.digits)
+    terms, q_prev = cfe._level_chain([cfe._short_pair(m, truth, value) for m in range(4, 10)])
+    assert terms == want
+    assert q_prev == cfe._continuant(want[1:])[1]
+
+
+def test_level9_child_1221(level9):
+    terms = level9[1]
     child = verify_child(1221, terms)
     assert child.status == "confirmed"
     assert str(child.error_observed.round_to(5)) == "-8.9992E-938890"
@@ -48,14 +64,23 @@ def test_level9_child_1221():
 
 
 @pytest.mark.deep
+def test_level10_full_verification():
+    p = verify_hwm(10, compute_error=True, check_next_hwm=True)
+    assert p.status == "confirmed"
+    assert p.coefficient_index == 4838
+    assert p.observed_ncd == 68_888_882
+    assert p.next_hwm_length == 57_111_096
+    print("\ndeep: level 10 confirmed, 4838 terms, next length 57111096")
+
+
+@pytest.mark.deep
 def test_level11_numerator_patterns():
     """The 68.9M-digit numerator carries the published nine-run structure:
     a 35987 run plus a separate 165 run, and the 40000009 tail."""
     import re
 
     truth = digits_up_to(68_888_900)
-    num = numerator_for_hwm(11, truth)
-    s = to_digits(num)
+    s = str(cfe._short_pair(11, truth, Decimal(truth.digits))[0])  # exponent 0: its digits
     assert len(s) == 68_888_897
     assert s.endswith("4" + "0" * 6 + "9")
     runs = sorted((len(m.group()) for m in re.finditer(r"9+", s)), reverse=True)

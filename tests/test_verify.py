@@ -263,13 +263,16 @@ class TestViolationPathway:
 
 class TestNextLevelCheck:
     def test_runs_no_euclid_on_the_next_level(self, monkeypatch):
+        # the level chain builds each level from the one before, and the
+        # cofactor jump skips the terms level 8 shares: no full expansion
+        # runs above level 4
         import champcfe.cfe as cfe
 
         levels = []
         real = cfe.hwm_expansion
         monkeypatch.setattr(cfe, "hwm_expansion", lambda n, t: levels.append(n) or real(n, t))
         assert verify_hwm(7).status == CONFIRMED
-        assert levels == [7]
+        assert all(m <= 4 for m in levels), levels
 
     def test_pair_off_the_level_n_expansion_falls_back(self, monkeypatch, truth_80k):
         # moving the level-8 denominator two places leaves the level-7
@@ -293,25 +296,25 @@ class TestNextLevelCheck:
         assert failed == {"prefix_stability": False, "hwm_length": 2}
 
     @staticmethod
-    def double_level7(monkeypatch, truth, shift8=0):
-        """Double both halves of the level-7 pair, which keeps its value and
-        its terms, and move the level-8 denominator shift8 places."""
+    def perturb(monkeypatch, truth, double=None, shift=None):
+        """Double both halves of level double's pair, which keeps its value
+        and its terms, and move level shift's denominator two places."""
         import dataclasses
 
         import champcfe.cfe as cfe
         import champcfe.predict as predict
 
-        num = numerator_for_hwm(7, truth)
+        num = double and numerator_for_hwm(double, truth)
         real_sci, real_num = predict.denominator_sci, cfe._numerator
 
         def sci(m):
-            s = real_sci(m)  # 499900005 doubles to 999800010, as many digits
-            if m == 8:
-                return dataclasses.replace(s, exponent=s.exponent + shift8)
-            return dataclasses.replace(s, digits=str(2 * int(s.digits))) if m == 7 else s
+            s = real_sci(m)  # 4990005 and 499900005 double to as many digits
+            if m == shift:
+                return dataclasses.replace(s, exponent=s.exponent + 2)
+            return dataclasses.replace(s, digits=str(2 * int(s.digits))) if m == double else s
 
-        def doubled_num(m, prefix, parse):
-            return parse(str(2 * num)) if m == 7 else real_num(m, prefix, parse)
+        def doubled_num(m, v):  # v is an int or a Decimal
+            return type(v)(2 * num) if m == double else real_num(m, v)
 
         monkeypatch.setattr(predict, "denominator_sci", sci)
         monkeypatch.setattr(cfe, "_numerator", doubled_num)
@@ -324,19 +327,36 @@ class TestNextLevelCheck:
         # length is read off the full level-8 expansion
         import champcfe.predict as predict
 
-        self.double_level7(monkeypatch, truth_80k)
+        self.perturb(monkeypatch, truth_80k, double=7)
         p = verify_hwm(7, compute_error=False)
         assert {c.field for c in p.violations()} == {"lowest_terms", "numerator_tail"}
         assert p.next_hwm_length == predict.hwm_length(7)
 
     def test_pair_out_of_lowest_terms_and_off_the_expansion(self, monkeypatch, truth_80k):
         # both reasons to leave the cofactor jump at once
-        self.double_level7(monkeypatch, truth_80k, shift8=2)
+        self.perturb(monkeypatch, truth_80k, double=7, shift=8)
         p = verify_hwm(7, compute_error=False)
         failed = {c.field: c.observed for c in p.violations()}
         assert set(failed) == {"lowest_terms", "numerator_tail", "prefix_stability", "hwm_length"}
         assert failed["prefix_stability"] is False
         assert p.next_hwm_length == failed["hwm_length"] == 2
+
+    @pytest.mark.parametrize("perturbation", [{"double": 6}, {"shift": 6}])
+    def test_level6_off_the_chain_leaves_later_levels_alone(
+        self, monkeypatch, truth_80k, perturbation
+    ):
+        # level 6 out of lowest terms, or off level 5's terms, ends the level
+        # chain there; levels 7 and 8 then expand their own pairs and read
+        # exactly as unperturbed
+        import champcfe.cfe as cfe
+
+        want = {n: verify_hwm(n).as_dict() for n in (7, 8)}
+        self.perturb(monkeypatch, truth_80k, **perturbation)
+        levels = []
+        real = cfe.hwm_expansion
+        monkeypatch.setattr(cfe, "hwm_expansion", lambda n, t: levels.append(n) or real(n, t))
+        assert {n: verify_hwm(n).as_dict() for n in (7, 8)} == want
+        assert levels == [7, 8]
 
 
 class TestConcurrency:

@@ -218,28 +218,29 @@ def _extend(
 
 def _level_chain(
     pairs: Sequence[tuple[Decimal, Decimal]],
-) -> tuple[list[Decimal], Decimal] | None:
-    """hwm_expansion's terms of the last of pairs, the _short_pair of levels
-    4, 5, ..., as exact Decimals, and the denominator of the convergent
-    before it; None where a level's expansion does not begin with the terms
-    of the level before, or a level's pair is not in lowest terms.
+) -> tuple[list[Decimal], Decimal, bool]:
+    """(terms, q_prev, coprime) of the last of pairs, the _short_pair of
+    consecutive levels, as exact Decimals: hwm_expansion's terms of that
+    pair, the denominator of the convergent before it, and whether the pair
+    is in lowest terms.
 
-    Level 4 runs Euclid from the start. Each later level jumps past the
-    terms of the one before by _remainder_pair and runs Euclid only on the
-    rest, so no level walks the shared terms again.
+    The first level runs Euclid from the start. Each later level jumps past
+    the terms of the one before by _remainder_pair and runs Euclid only on
+    the rest, so no level walks the shared terms again. A level whose pair
+    leaves the terms before, or follows a pair not in lowest terms (whose
+    cofactors then are not those of its pair), runs Euclid from the start.
     """
     terms: list[Decimal] = []
     p = q = q_prev = Decimal(0)
+    coprime = False
     for a, b in pairs:
-        pair = _remainder_pair(p, q, q_prev, a, b) if terms else (a, b)
+        pair = _remainder_pair(p, q, q_prev, a, b) if coprime else None
         if pair is None:
-            return None
+            terms, pair, q = [], (a, b), Decimal(0)
         tail, q_prev, coprime = _extend(*pair, q, b)
-        if not coprime:
-            return None
         terms += tail
         p, q = a, b
-    return terms, q_prev
+    return terms, q_prev, coprime
 
 
 @dataclass(frozen=True)

@@ -74,13 +74,11 @@ def _jsonable(value):
 
 
 def _residual(
-    numerator: Decimal, denominator: Decimal, truth: DigitPrefix, value: Decimal | None = None
+    numerator: Decimal, denominator: Decimal, truth: DigitPrefix, value: Decimal
 ) -> Decimal:
-    """num·10^P − V·den for the truncation V/10^P of the constant: the one
-    exact quantity that every digit-level observation is read from. value,
-    where the caller has parsed it already, is V as a Decimal."""
-    if value is None:
-        value = Decimal(truth.digits)
+    """num·10^P − V·den for the truncation V/10^P of the constant, where
+    value is V as a Decimal: the one exact quantity that every digit-level
+    observation is read from."""
     with localcontext(arith.EXACT):
         return numerator.scaleb(truth.last_position) - value * denominator
 
@@ -130,7 +128,7 @@ def measure_ncd(
     """Number of correct digits (the position of the first wrong one,
     counting the leading '0') and where that digit lives."""
     num, den = arith.to_decimal(numerator), arith.to_decimal(denominator)
-    found = _first_failure(num, den, truth, _residual(num, den, truth))
+    found = _first_failure(num, den, truth, _residual(num, den, truth, Decimal(truth.digits)))
     if found is None:
         raise InsufficientTruthError(
             required=truth.last_position + 2,
@@ -158,7 +156,8 @@ def measure_error(
     if mantissa_digits < 1:
         raise ValueError("mantissa_digits must be >= 1")
     num, den = arith.to_decimal(numerator), arith.to_decimal(denominator)
-    return _error(_residual(num, den, truth), den, truth.last_position, mantissa_digits)
+    diff = _residual(num, den, truth, Decimal(truth.digits))
+    return _error(diff, den, truth.last_position, mantissa_digits)
 
 
 def _error(diff: Decimal, denominator: Decimal, p: int, mantissa_digits: int) -> SciDecimal:
@@ -241,8 +240,9 @@ def verify_hwm(
     next-level length check, each observation scored against its predictor.
 
     The coefficients come from cfe._level_chain, each level's from the
-    level before; where a level leaves that chain, level n's own pair is
-    expanded on int instead, so the chain assumes nothing checked here.
+    level before; a level that leaves the terms before, or follows a level
+    out of lowest terms, is expanded from the start, so the chain assumes
+    nothing checked here.
 
     Checking the length of HWM #n itself requires the coefficients of the
     convergent before HWM #(n+1), where that term finally appears; with
@@ -268,18 +268,9 @@ def verify_hwm(
     last = n + 1 if check_next_hwm else n
     pairs = [cfe._short_pair(m, truth, value) for m in range(4, last + 1)]
     num, den = pairs[n - 4]
-    chain = cfe._level_chain(pairs[: n - 3])
-    if chain:  # each level from the one before, all in lowest terms
-        terms, q_prev = chain
-        coprime = True
-        total_digits = sum(t.adjusted() + 1 for t in terms)
-    else:  # off the chain: Euclid on level n's own pair
-        _, den_int, terms = cfe.hwm_expansion(n, truth)
-        q, q_prev = cfe._continuant(terms[1:])
-        coprime = q == den_int  # the continuant is the denominator in lowest terms
-        q_prev = arith.to_decimal(q_prev)
-        total_digits = sum(arith.digit_count(t) for t in terms)
+    terms, q_prev, coprime = cfe._level_chain(pairs[: n - 3])
     k = len(terms)
+    total_digits = sum(t.adjusted() + 1 for t in terms)
 
     diff = _residual(num, den, truth, value)
     found = _first_failure(num, den, truth, diff, len(p_tail))
@@ -321,9 +312,9 @@ def verify_hwm(
     if check_next_hwm:  # level n+1 shares the k terms: skip them
         next_len = coprime and cfe._next_term_digits(num, den, q_prev, *pairs[-1])
         stable = bool(next_len)
-        if not stable:  # out of lowest terms or off the terms: the full expansion
-            following = cfe.hwm_expansion(n + 1, truth)[2]
-            stable, next_len = following[:k] == terms, arith.digit_count(following[k])
+        if not stable:  # out of lowest terms or off the terms: Euclid from the start
+            following = cfe._level_chain(pairs[-1:])[0]
+            stable, next_len = following[:k] == terms, following[k].adjusted() + 1
         checks.append(_check("prefix_stability", True, stable))
         checks.append(_check("hwm_length", predict.hwm_length(n), next_len))
 
@@ -399,7 +390,7 @@ def verify_child(
     need = exp + len(p_err.digits) + 1 + GUARD_DIGITS
     truth = digits_up_to(need, max_digits=max_digits)
 
-    diff = _residual(num, den, truth)
+    diff = _residual(num, den, truth, Decimal(truth.digits))
     err_obs = _error(diff, den, truth.last_position, len(p_err.digits) + 1)
     found = _first_failure(num, den, truth, diff)
     if found is None or found[0] > exp + 32:

@@ -337,11 +337,31 @@ def test_level_chain_matches_the_int_expansion(truth_80k):
     value = Decimal(truth_80k.digits)
     pairs = [cfe._short_pair(m, truth_80k, value) for m in range(4, 9)]
     for n in range(4, 9):
-        terms, q_prev = cfe._level_chain(pairs[: n - 3])
+        terms, q_prev, coprime = cfe._level_chain(pairs[: n - 3])
         want = hwm_expansion(n, truth_80k)[2]
         assert terms == want
         assert q_prev == cfe._continuant(want[1:])[1]
+        assert coprime
         assert [t.adjusted() + 1 for t in terms] == [len(str(t)) for t in want]
+
+
+@pytest.mark.parametrize("perturb", ["double", "shift"])
+def test_level_chain_restarts_off_the_chain(perturb, truth_80k):
+    # level 6 doubled (out of lowest terms: level 7 restarts) or with its
+    # denominator moved two places (off level 5's terms: level 6 restarts);
+    # every later level still gives Euclid's terms, q_prev and gcd verdict
+    value = Decimal(truth_80k.digits)
+    pairs = [cfe._short_pair(m, truth_80k, value) for m in range(4, 9)]
+    a, b = pairs[2]
+    pairs[2] = (2 * a, 2 * b) if perturb == "double" else (a, b.scaleb(2))
+    for n in range(6, 9):
+        a, b = (int(v) for v in pairs[n - 4])
+        want = hwm_split(cfe_extract(a, b))
+        assert cfe._level_chain(pairs[: n - 3]) == (
+            want,
+            cfe._continuant(want[1:])[1],
+            math.gcd(a, b) == 1,
+        )
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

@@ -47,8 +47,10 @@ def test_level9_full_verification():
 def test_level9_chain_matches_the_int_expansion(level9):
     truth, want = level9
     value = Decimal(truth.digits)
-    terms, q_prev = cfe._level_chain([cfe._short_pair(m, truth, value) for m in range(4, 10)])
+    chain = cfe._level_chain([cfe._short_pair(m, truth, value) for m in range(4, 10)])
+    terms, q_prev, coprime = chain
     assert terms == want
+    assert coprime
     assert q_prev == cfe._continuant(want[1:])[1]
 
 

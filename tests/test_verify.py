@@ -264,20 +264,24 @@ class TestViolationPathway:
 class TestNextLevelCheck:
     def test_runs_no_euclid_on_the_next_level(self, monkeypatch):
         # the level chain builds each level from the one before, and the
-        # cofactor jump skips the terms level 8 shares: no full expansion
-        # runs above level 4
+        # cofactor jump skips the terms level 8 shares: Euclid runs from the
+        # start at level 4 alone, and no int expansion runs
         import champcfe.cfe as cfe
 
-        levels = []
-        real = cfe.hwm_expansion
+        levels, restarts = [], []
+        real, real_extend = cfe.hwm_expansion, cfe._extend
         monkeypatch.setattr(cfe, "hwm_expansion", lambda n, t: levels.append(n) or real(n, t))
+        monkeypatch.setattr(
+            cfe, "_extend", lambda x, y, q, b: restarts.append(q == 0) or real_extend(x, y, q, b)
+        )
         assert verify_hwm(7).status == CONFIRMED
-        assert all(m <= 4 for m in levels), levels
+        assert levels == []
+        assert restarts == [True, False, False, False]
 
     def test_pair_off_the_level_n_expansion_falls_back(self, monkeypatch, truth_80k):
         # moving the level-8 denominator two places leaves the level-7
-        # terms behind; the full level-8 expansion, which verify_hwm ran for
-        # every level before the cofactor check, gives index 162 two digits
+        # terms behind; Euclid from the start on the level-8 pair gives
+        # index 162 two digits
         import dataclasses
 
         import champcfe.predict as predict
@@ -345,18 +349,12 @@ class TestNextLevelCheck:
     def test_level6_off_the_chain_leaves_later_levels_alone(
         self, monkeypatch, truth_80k, perturbation
     ):
-        # level 6 out of lowest terms, or off level 5's terms, ends the level
-        # chain there; levels 7 and 8 then expand their own pairs and read
-        # exactly as unperturbed
-        import champcfe.cfe as cfe
-
+        # level 6 out of lowest terms, or off level 5's terms, restarts
+        # Euclid at level 7 or level 6; levels 7 and 8 read exactly as
+        # unperturbed
         want = {n: verify_hwm(n).as_dict() for n in (7, 8)}
         self.perturb(monkeypatch, truth_80k, **perturbation)
-        levels = []
-        real = cfe.hwm_expansion
-        monkeypatch.setattr(cfe, "hwm_expansion", lambda n, t: levels.append(n) or real(n, t))
         assert {n: verify_hwm(n).as_dict() for n in (7, 8)} == want
-        assert levels == [7, 8]
 
 
 class TestConcurrency:

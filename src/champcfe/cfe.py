@@ -41,26 +41,17 @@ def numerator_for_hwm(n: int, prefix: DigitPrefix) -> int:
     10**(p + 2 - n), so this is the ceiling of mantissa * v / 10**(n - 2).
     For n = 4 the half-scale identity applies: ceil(40.5 * 0.1) = 5, then
     doubled back to 10 over the true denominator predict.denominator(4)."""
-    p = _checked_position(n, prefix)
-    return _numerator(n, arith.from_digits(prefix.digits[: p + 1]))
+    return arith.from_digits(str(_short_pair(n, prefix, Decimal(prefix.digits))[0]))
 
 
-def _checked_position(n: int, prefix: DigitPrefix) -> int:
-    """required_prefix_position(n), which prefix must reach."""
-    p = required_prefix_position(n)
-    if prefix.last_position < p:
-        raise PrecisionError(required_position=p, got=prefix.last_position)
-    return p
-
-
-def _numerator(n: int, v):
-    """numerator_for_hwm from the value v of the required digits: an int, or
-    an exact Decimal under arith.EXACT."""
+def _numerator(n: int, v: Decimal) -> Decimal:
+    """numerator_for_hwm from the value v of the required digits, an exact
+    Decimal under arith.EXACT."""
     if n == 4:  # den*v / (2*10^p)
         q, r = divmod(predict.denominator(4) * v, 2 * 10 ** required_prefix_position(4))
         return 2 * (q + (r > 0))
     q, r = divmod(int(predict.denominator_sci(n).digits) * v, 10 ** (n - 2))
-    return q + (r > 0)  # the ceiling for an int and a Decimal alike, as v >= 0
+    return q + (r > 0)  # the ceiling, as v >= 0
 
 
 def cfe_extract(numerator: int, denominator: int) -> list[int]:
@@ -90,9 +81,15 @@ def hwm_expansion(n: int, prefix: DigitPrefix) -> tuple[int, int, list[int]]:
     The convergent lies above the constant, so its expansion ends on an odd
     index; where the canonical one ends on an even index, its last term Y
     is written as the equal pair Y-1, 1 (the two expansions of a rational).
+    The terms come from _level_chain over levels 4..n on exact Decimals with
+    exponent 0. They become ints only at the return, by from_digits of their
+    digit strings: int(Decimal) is quadratic.
     """
-    num, den = numerator_for_hwm(n, prefix), predict.denominator(n)
-    return num, den, _odd_index_split(cfe_extract(num, den))
+    value = Decimal(prefix.digits)
+    top = _short_pair(n, prefix, value)  # level n first: a short prefix names its position
+    pairs = [_short_pair(m, prefix, value) for m in range(4, n)] + [top]
+    terms = [arith.from_digits(str(t)) for t in _level_chain(pairs)[0]]
+    return arith.from_digits(str(top[0])), predict.denominator(n), terms
 
 
 def _odd_index_split(terms: list) -> list:
@@ -128,7 +125,9 @@ def _short_pair(n: int, prefix: DigitPrefix, value: Decimal) -> tuple[Decimal, D
     """Level n's numerator and short-form denominator as exact Decimals, where
     value is Decimal(prefix.digits): the required digits are its leading ones,
     so no level parses the prefix again."""
-    p = _checked_position(n, prefix)
+    p = required_prefix_position(n)
+    if prefix.last_position < p:
+        raise PrecisionError(required_position=p, got=prefix.last_position)
     sci = predict.denominator_sci(n)
     with localcontext(arith.EXACT):
         den = Decimal(sci.digits).scaleb(sci.exponent - (len(sci.digits) - 1))

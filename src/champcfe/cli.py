@@ -68,7 +68,7 @@ def _require_deep(n: int, args: argparse.Namespace, ceiling: int, what: str) -> 
         )
     if n >= DEEP_HWM and not args.deep:
         raise ValueError(
-            f"{what} for HWM #{n} takes minutes; pass --deep to confirm"
+            f"{what} for HWM #{n} works on millions of digits; pass --deep to confirm"
         )
 
 

@@ -1,8 +1,20 @@
+"""Shared fixtures: the constant's first 80,000 digits, the level-8
+coefficients as the program computes them (hwm_expansion, on the level
+chain), and int_expansion, the oracle for that path: plain int Euclid run
+from the start, which no program code runs any more."""
+
 import sys
 
 import pytest
 
-from champcfe import digits_up_to, hwm_expansion
+from champcfe import (
+    arith,
+    cfe_extract,
+    denominator,
+    digits_up_to,
+    hwm_expansion,
+    required_prefix_position,
+)
 
 # the oracles compare against int() and str() of operands far above the
 # interpreter's default 4,300-digit conversion cap; the library itself
@@ -20,3 +32,25 @@ def truth_80k():
 def level8_terms(truth_80k):
     """Coefficients of the convergent before HWM #8 (indices 0..525)."""
     return hwm_expansion(8, truth_80k)[2]
+
+
+@pytest.fixture(scope="session")
+def int_expansion():
+    """The oracle for hwm_expansion and the level chain, in plain int
+    arithmetic: (numerator, denominator, terms) of level n from Euclid run
+    from the start. The numerator is ceil(denominator(n) * V / 10**p) over
+    the required digits V, or the known 10 at n = 4 (the half-scale
+    identity); the terms end on an odd index, Y-1, 1 in place of Y."""
+
+    def expand(n, truth):
+        p, den = required_prefix_position(n), denominator(n)
+        # floor(den*V / 10**p) by dropping p digits: int division of the
+        # level-9 operands is quadratic, seconds where this takes a fraction
+        s = arith.to_digits(den * arith.from_digits(truth.digits[: p + 1]))
+        num = 10 if n == 4 else arith.from_digits(s[:-p]) + (s[-p:] != "0" * p)
+        terms = cfe_extract(num, den)
+        if len(terms) % 2:
+            terms[-1:] = [terms[-1] - 1, 1]
+        return num, den, terms
+
+    return expand

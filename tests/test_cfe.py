@@ -51,6 +51,15 @@ class TestNumerator:
             numerator_for_hwm(6, digits_up_to(100))
         assert exc.value.required_position == required_prefix_position(6) == 190
 
+    def test_short_prefix_names_the_requested_level(self):
+        # hwm_expansion builds level n's pair before those of the levels
+        # below it, so the error names level 8's position, not level 6's
+        with pytest.raises(PrecisionError) as exc:
+            hwm_expansion(8, digits_up_to(100))
+        assert exc.value.required_position == required_prefix_position(8)
+        with pytest.raises(ValueError):
+            hwm_expansion(3, digits_up_to(100))
+
     def test_denominator_is_its_mantissa_times_10_to_the_p_plus_2_minus_n(self):
         # numerator_for_hwm divides by 10**(n - 2) on the strength of this;
         # past level 8 the denominator is too long to build, so its exponent
@@ -247,11 +256,11 @@ def test_next_term_digits_matches_the_full_expansion(case):
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_next_term_digits_at_the_hwm_levels(n, truth_80k):
+def test_next_term_digits_at_the_hwm_levels(n, truth_80k, int_expansion):
     # the operands verify_hwm passes: Decimal ceiling numerators, short-form
     # denominators, and q_prev from the continuant
-    num, den, terms = hwm_expansion(n, truth_80k)
-    num2, den2, following = hwm_expansion(n + 1, truth_80k)
+    num, den, terms = int_expansion(n, truth_80k)
+    num2, den2, following = int_expansion(n + 1, truth_80k)
     value = Decimal(truth_80k.digits)
     (p, q), (a, b) = (cfe._short_pair(m, truth_80k, value) for m in (n, n + 1))
     q_prev = to_decimal(cfe._continuant(terms[1:])[1])
@@ -333,16 +342,20 @@ def test_chain_step_matches_euclid_from_the_start(case):
         assert coprime == (math.gcd(a, b) == 1)
 
 
-def test_level_chain_matches_the_int_expansion(truth_80k):
+def test_level_chain_matches_the_int_expansion(truth_80k, int_expansion):
+    # the chain as Decimal digit strings, and hwm_expansion as ints, against
+    # the int oracle
     value = Decimal(truth_80k.digits)
     pairs = [cfe._short_pair(m, truth_80k, value) for m in range(4, 9)]
     for n in range(4, 9):
         terms, q_prev, coprime = cfe._level_chain(pairs[: n - 3])
-        want = hwm_expansion(n, truth_80k)[2]
-        assert terms == want
-        assert q_prev == cfe._continuant(want[1:])[1]
+        num, den, want = int_expansion(n, truth_80k)
+        digits = [to_digits(t) for t in want]
+        assert [str(t) for t in terms] == digits
+        assert str(q_prev) == to_digits(cfe._continuant(want[1:])[1])
         assert coprime
-        assert [t.adjusted() + 1 for t in terms] == [len(str(t)) for t in want]
+        assert [t.adjusted() + 1 for t in terms] == [len(s) for s in digits]
+        assert hwm_expansion(n, truth_80k) == (num, den, want)
 
 
 @pytest.mark.parametrize("perturb", ["double", "shift"])
@@ -365,10 +378,12 @@ def test_level_chain_restarts_off_the_chain(perturb, truth_80k):
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-def test_decimal_numerator_equals_the_int_one(n, truth_80k):
+def test_decimal_numerator_equals_the_int_one(n, truth_80k, int_expansion):
     num, den = cfe._short_pair(n, truth_80k, Decimal(truth_80k.digits))
-    assert (num, den) == (to_decimal(numerator_for_hwm(n, truth_80k)), to_decimal(denominator(n)))
+    want_num, want_den, _ = int_expansion(n, truth_80k)
+    assert (str(num), den) == (to_digits(want_num), to_decimal(want_den))
     assert num.as_tuple().exponent == 0
+    assert numerator_for_hwm(n, truth_80k) == want_num
 
 
 def test_recurrence_tells_lowest_terms(truth_80k):

@@ -3,25 +3,38 @@
 Level 9 runs in the default tier (its verification in about 0.3 s): it
 reproduces the published NCD 5,888,883 and error 9.00001E-5,888,890,
 plus the level-10 jump that exposes the 4,911,098-digit coefficient,
-matches the level chain against the int expansion, and confirms the
-child at coefficient 1221. Level 10's full verification and the level-11
-numerator are marked deep: each generates 68.9 million digits and is
-excluded by default; run them with `pytest -m deep -v -s`.
+matches the level chain and hwm_expansion against the int oracle, and
+confirms the child at coefficient 1221. Marked deep, and excluded by
+default: level 10's full verification and the level-11 numerator, each on
+68.9 million generated digits, and the level-10 coefficients computed
+through hwm_expansion, which reproduce the published generation table
+below index 4,838. Run them with `pytest -m deep -v -s`.
 """
 
+import csv
+import hashlib
+import io
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from champcfe import (
     DigitLocation,
+    classify,
     digits_up_to,
     hwm_expansion,
+    required_prefix_position,
     verify_child,
     verify_hwm,
+    write_coefficients,
 )
 from champcfe import cfe
-from champcfe.arith import digit_count
+from champcfe.arith import digit_count, to_digits
+from champcfe.cfe import coefficient_digit_lengths
+
+# the coefficient file that `compute --hwm 10 --deep` writes
+LEVEL10_SHA256 = "702547412c524b410ce1a9315b16eb5429804cb1b5b1f0e29eae2377ed417013"
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +57,18 @@ def test_level9_full_verification():
     print("\ndeep: level 9 confirmed, error 9.00001E-5888890, next length 4911098")
 
 
-def test_level9_chain_matches_the_int_expansion(level9):
-    truth, want = level9
+def test_level9_chain_matches_the_int_expansion(level9, int_expansion):
+    # digit strings against digit strings and ints against ints: Decimal ==
+    # int converts the int, quadratically, on every long term
+    truth, expanded = level9
+    want = int_expansion(9, truth)[2]
+    assert expanded == want
     value = Decimal(truth.digits)
     chain = cfe._level_chain([cfe._short_pair(m, truth, value) for m in range(4, 10)])
     terms, q_prev, coprime = chain
-    assert terms == want
+    assert [str(t) for t in terms] == [to_digits(t) for t in want]
     assert coprime
-    assert q_prev == cfe._continuant(want[1:])[1]
+    assert str(q_prev) == to_digits(cfe._continuant(want[1:])[1])
 
 
 def test_level9_child_1221(level9):
@@ -73,6 +90,26 @@ def test_level10_full_verification():
     assert p.observed_ncd == 68_888_882
     assert p.next_hwm_length == 57_111_096
     print("\ndeep: level 10 confirmed, 4838 terms, next length 57111096")
+
+
+@pytest.mark.deep
+def test_level10_coefficients_reproduce_the_generation_table():
+    """The 4,838 computed level-10 coefficients, written as `compute` writes
+    them, classify into every published row below index 4,838."""
+    terms = hwm_expansion(10, digits_up_to(required_prefix_position(10)))[2]
+    out = io.StringIO()
+    write_coefficients(terms, out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == LEVEL10_SHA256
+    lengths = coefficient_digit_lengths(io.StringIO(out.getvalue()))
+    assert len(lengths) == 4838
+    by_index = {e.coefficient_index: e for e in classify(lengths)}
+    with open(Path(__file__).parent / "data" / "generation_table.csv") as fp:
+        rows = [r for r in csv.DictReader(fp) if int(r["index"]) < len(lengths)]
+    assert len(rows) == 23
+    for r in rows:
+        e = by_index[int(r["index"])]
+        assert (e.digit_length, e.generation) == (int(r["length"]), int(r["generation"]))
+    print("\ndeep: level 10 coefficients reproduce the 23 generation-table rows")
 
 
 @pytest.mark.deep

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal, Inexact, Rounded, localcontext
 from pathlib import Path
 
 import pytest
@@ -317,8 +318,8 @@ class TestNextLevelCheck:
                 return dataclasses.replace(s, exponent=s.exponent + 2)
             return dataclasses.replace(s, digits=str(2 * int(s.digits))) if m == double else s
 
-        def doubled_num(m, v):  # v is an int or a Decimal
-            return type(v)(2 * num) if m == double else real_num(m, v)
+        def doubled_num(m, v):
+            return Decimal(2 * num) if m == double else real_num(m, v)
 
         monkeypatch.setattr(predict, "denominator_sci", sci)
         monkeypatch.setattr(cfe, "_numerator", doubled_num)
@@ -491,6 +492,28 @@ def test_tail_window_covers_every_other_truth_requirement():
         assert window >= required_prefix_position(n)
         assert window >= required_prefix_position(n + 1)
         assert window >= ncd(n) + n - 2 + len(error_profile(n).digits) + 1 + GUARD_DIGITS
+
+
+def test_a_callers_decimal_context_does_not_leak_in(truth_80k, level8_terms):
+    # the Decimal arithmetic behind the int API runs under arith.EXACT: a
+    # caller's context, here one that traps any rounding at 5 digits, must
+    # not reach it
+    num, den, _ = hwm_expansion(6, truth_80k)
+
+    def outputs():
+        return (
+            hwm_expansion(8, truth_80k),
+            numerator_for_hwm(8, truth_80k),
+            verify_hwm(7).as_dict(),
+            verify_child(357, level8_terms).as_dict(),
+            measure_error(num, den, truth_80k, mantissa_digits=6),
+        )
+
+    want = outputs()
+    with localcontext() as ctx:
+        ctx.prec = 5
+        ctx.traps[Inexact] = ctx.traps[Rounded] = True
+        assert outputs() == want
 
 
 def test_library_leaves_decimal_context_alone():

@@ -81,15 +81,21 @@ def hwm_expansion(n: int, prefix: DigitPrefix) -> tuple[int, int, list[int]]:
     The convergent lies above the constant, so its expansion ends on an odd
     index; where the canonical one ends on an even index, its last term Y
     is written as the equal pair Y-1, 1 (the two expansions of a rational).
-    The terms come from _level_chain over levels 4..n on exact Decimals with
-    exponent 0. They become ints only at the return, by from_digits of their
-    digit strings: int(Decimal) is quadratic.
+    The numerator and terms are _hwm_chain's, made ints only at the return,
+    by from_digits of their digit strings: int(Decimal) is quadratic.
     """
+    num, terms = _hwm_chain(n, prefix)
+    terms = [arith.from_digits(str(t)) for t in terms]
+    return arith.from_digits(str(num)), predict.denominator(n), terms
+
+
+def _hwm_chain(n: int, prefix: DigitPrefix) -> tuple[Decimal, list[Decimal]]:
+    """hwm_expansion's numerator and terms as exact Decimals with exponent 0,
+    so str() of each is its digit string: _level_chain over levels 4..n."""
     value = Decimal(prefix.digits)
     top = _short_pair(n, prefix, value)  # level n first: a short prefix names its position
     pairs = [_short_pair(m, prefix, value) for m in range(4, n)] + [top]
-    terms = [arith.from_digits(str(t)) for t in _level_chain(pairs)[0]]
-    return arith.from_digits(str(top[0])), predict.denominator(n), terms
+    return top[0], _level_chain(pairs)[0]
 
 
 def _odd_index_split(terms: list) -> list:
@@ -286,8 +292,14 @@ def naive_cfe(prefix: DigitPrefix) -> NaiveCfe:
 def write_coefficients(terms: Iterable[int], fp: IO[str]) -> None:
     """One coefficient per line as decimal digits, LF newlines, index 0
     first, no blank lines. This is the on-disk interchange format."""
-    for t in terms:
-        fp.write(arith.to_digits(t))
+    _write_lines(map(arith.to_digits, terms), fp)
+
+
+def _write_lines(digit_strings: Iterable[str], fp: IO[str]) -> None:
+    """write_coefficients from the coefficients' digit strings, such as str()
+    of _hwm_chain's Decimals."""
+    for s in digit_strings:
+        fp.write(s)
         fp.write("\n")
 
 

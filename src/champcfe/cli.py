@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 from . import arith, cfe, generations, predict, verify
@@ -121,11 +122,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
     n = args.hwm
     _require_deep(n, args, MAX_COMPUTE_HWM, "coefficient computation")
     prefix = digits_up_to(cfe.required_prefix_position(n), max_digits=args.max_digits)
-    num, _, terms = cfe.hwm_expansion(n, prefix)
+    # the chain's Decimals have exponent 0: str() is the digits, no radix conversion
+    num, terms = cfe._hwm_chain(n, prefix)
     with open(args.out, "w", newline="") as fp:
-        cfe.write_coefficients(terms, fp)
+        cfe._write_lines(map(str, terms), fp)
     if args.emit_numerator:
-        sys.stdout.write(arith.to_digits(num) + "\n")
+        sys.stdout.write(str(num) + "\n")
     return 0
 
 
@@ -187,7 +189,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_child(args: argparse.Namespace) -> int:
     with open(args.coefficients) as fp:
-        terms = cfe.read_coefficients(fp)
+        terms = [Decimal(s) for s in cfe._coefficient_lines(fp)]  # exact in any context
     profile = verify.verify_child(
         args.coefficient_index, terms, max_digits=args.max_digits
     )

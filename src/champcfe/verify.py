@@ -360,7 +360,7 @@ class ChildProfile(_Profile):
 
 def verify_child(
     coefficient_index: int,
-    terms: Sequence[int],
+    terms: Sequence[int | Decimal],
     *,
     max_digits: int = DEFAULT_DIGIT_BUDGET,
 ) -> ChildProfile:
@@ -368,11 +368,21 @@ def verify_child(
     coefficient_index, treating it as a child HWM: measure its error and
     failing digit, split its denominator into preamble / nines /
     penultimate / zeroes, and score everything against the predictors.
+
+    terms are ints or integral Decimals, such as Decimal of a coefficient
+    file's lines; the arithmetic runs on exact Decimals either way.
     """
     k = coefficient_index
     if not 1 <= k <= len(terms):
         raise ValueError("coefficient index outside the supplied list")
-    lengths = [arith.digit_count(t) for t in terms[: k + 1]]
+    with localcontext(arith.EXACT):
+        # exponent 0, so str() of a product is its digits; a fractional term
+        # raises Inexact instead of rounding
+        head = [
+            t.quantize(1) if isinstance(t, Decimal) else arith.to_decimal(t)
+            for t in terms[: k + 1]
+        ]
+    lengths = [t.adjusted() + 1 for t in head]
     maxima = generations.find_hwms(lengths[:k])
     if len(maxima) < 2:
         raise ValueError("no first-generation maximum precedes the index")
@@ -384,7 +394,8 @@ def verify_child(
     p_shape = predict.child_denominator_shape(m)
     p_len = predict.child_length(m - 1)
 
-    num, den = (arith.to_decimal(cfe._continuant(s)[0]) for s in (terms[:k], terms[1:k]))
+    with localcontext(arith.EXACT):
+        num, den = [cfe._continuant(s)[0] for s in (head[:k], head[1:k])]
 
     exp = -p_err.exponent
     need = exp + len(p_err.digits) + 1 + GUARD_DIGITS

@@ -1,7 +1,7 @@
-"""Shared fixtures: the constant's first 80,000 digits, the level-8
-coefficients as the program computes them (hwm_expansion, on the level
-chain), and int_expansion, the oracle for that path: plain int Euclid run
-from the start, which no program code runs any more."""
+"""Shared fixtures: the constant's first 80,000 digits, the level-8 and
+level-9 coefficients as the program computes them (hwm_expansion, on the
+level chain), and int_expansion, the oracle for that path: plain int Euclid
+run from the start, which no program code runs any more."""
 
 import sys
 
@@ -32,6 +32,14 @@ def truth_80k():
 def level8_terms(truth_80k):
     """Coefficients of the convergent before HWM #8 (indices 0..525)."""
     return hwm_expansion(8, truth_80k)[2]
+
+
+@pytest.fixture(scope="session")
+def level9():
+    """The constant's first 500,000 digits and the coefficients of the
+    convergent before HWM #9 (indices 0..1708)."""
+    truth = digits_up_to(500_000)
+    return truth, hwm_expansion(9, truth)[2]
 
 
 @pytest.fixture(scope="session")

@@ -10,10 +10,12 @@ the odd-index split moved into cfe.hwm_expansion; `{out}` is that file.
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from champcfe import arith
 from champcfe.cli import main
 
 LOCK_FILE = Path(__file__).with_name("cli_lock.json")
@@ -78,3 +80,33 @@ def test_compute_output_is_unchanged(capsys, tmp_path, lock, case):
     stdout = capsys.readouterr().out
     hashes = [hashlib.sha256(b).hexdigest() for b in (stdout.encode(), out.read_bytes())]
     assert (code, hashes) == (0, lock[case])
+
+
+def test_compute_and_child_convert_no_long_operand(monkeypatch, capsys, tmp_path, lock):
+    """compute writes the level chain's Decimals as their digit strings and
+    child computes on Decimals read from them: no radix conversion sees an
+    operand above the leaf size, and the output is the locked one."""
+
+    def digits(x) -> int:  # an estimate for ints, at most one too many
+        return len(x) if isinstance(x, str) else math.ceil(abs(x).bit_length() * math.log10(2))
+
+    def leaf_only(name):
+        convert = getattr(arith, name)
+
+        def guarded(x):
+            if digits(x) > arith._LEAF:
+                raise AssertionError(f"arith.{name} of a {digits(x)}-digit operand")
+            return convert(x)
+
+        return guarded
+
+    for name in ("from_digits", "to_digits", "to_decimal", "digit_count"):
+        monkeypatch.setattr(arith, name, leaf_only(name))
+    out = tmp_path / "c8.txt"
+    compute = "compute --hwm 8 --out {out} --emit-numerator"
+    code = main(compute.format(out=out).split())
+    stdout = capsys.readouterr().out
+    hashes = [hashlib.sha256(b).hexdigest() for b in (stdout.encode(), out.read_bytes())]
+    assert (code, hashes) == (0, lock[compute])
+    child = "child --coefficient-index 357 --coefficients {c8}"
+    assert stdout_sha256(capsys, child, out) == (0, lock[child])

@@ -6,14 +6,17 @@ plus the level-10 jump that exposes the 4,911,098-digit coefficient,
 matches the level chain and hwm_expansion against the int oracle, and
 confirms the child at coefficient 1221. Marked deep, and excluded by
 default: level 10's full verification and the level-11 numerator, each on
-68.9 million generated digits, and the level-10 coefficients computed
+68.9 million generated digits, the level-10 coefficients computed
 through hwm_expansion, which reproduce the published generation table
-below index 4,838. Run them with `pytest -m deep -v -s`.
+below index 4,838, and the child after HWM #9, verified through the CLI
+from the file `compute --hwm 10 --deep` writes. Run them with
+`pytest -m deep -v -s`.
 """
 
 import csv
 import hashlib
 import io
+import json
 from decimal import Decimal
 from pathlib import Path
 
@@ -32,15 +35,10 @@ from champcfe import (
 from champcfe import cfe
 from champcfe.arith import digit_count, to_digits
 from champcfe.cfe import coefficient_digit_lengths
+from champcfe.cli import main
 
 # the coefficient file that `compute --hwm 10 --deep` writes
 LEVEL10_SHA256 = "702547412c524b410ce1a9315b16eb5429804cb1b5b1f0e29eae2377ed417013"
-
-
-@pytest.fixture(scope="module")
-def level9():
-    truth = digits_up_to(500_000)
-    return truth, hwm_expansion(9, truth)[2]
 
 
 def test_level9_full_verification():
@@ -110,6 +108,29 @@ def test_level10_coefficients_reproduce_the_generation_table():
         e = by_index[int(r["index"])]
         assert (e.digit_length, e.generation) == (int(r["length"]), int(r["generation"]))
     print("\ndeep: level 10 coefficients reproduce the 23 generation-table rows")
+
+
+@pytest.mark.deep
+def test_level10_child_3569_through_the_cli(tmp_path, capsys):
+    """The child after HWM #9, read back from the coefficient file: the file
+    holds the chain's digit strings, and child computes on Decimals."""
+    path = tmp_path / "c10.txt"
+    assert main(["compute", "--hwm", "10", "--deep", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LEVEL10_SHA256
+    argv = ["child", "--coefficient-index", "3569", "--coefficients", str(path)]
+    assert main(argv + ["--format", "json"]) == 0
+    p = json.loads(capsys.readouterr().out)
+    assert p["status"] == "confirmed"
+    assert p["follows_hwm"] == 9
+    assert p["error_observed"] == "-8.999920E-11288890"
+    assert p["error_predicted"] == "-8.99992E-11288890"
+    shape = p["denominator_shape"]
+    lengths = (len(shape["preamble"]), shape["nines_count"])
+    lengths += (len(shape["penultimate"]), shape["zeroes_count"])
+    assert lengths == (40, 5399960, 39, 38884)
+    assert p["shape_lengths_predicted"] == list(lengths)
+    assert p["child_length"] == p["child_length_predicted"] == 411_044
+    print("\ndeep: child at 3569 confirmed, shape 40/5399960/39/38884")
 
 
 @pytest.mark.deep

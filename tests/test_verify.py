@@ -26,7 +26,7 @@ from champcfe import (
     verify_child,
     verify_hwm,
 )
-from champcfe import arith
+from champcfe import arith, cli
 from champcfe.arith import first_difference
 
 HWM5 = (60_499_999_499, 490_050_000_000)
@@ -236,6 +236,24 @@ class TestVerifyChild:
     def test_requires_a_preceding_maximum(self, level8_terms):
         with pytest.raises(ValueError):
             verify_child(3, level8_terms)
+
+    @pytest.mark.parametrize("n, k", [(8, 101), (8, 357), (9, 1221)])
+    def test_int_and_decimal_terms_give_one_profile(self, request, n, k):
+        # the CLI passes Decimal terms, the library API ints
+        if n == 8:
+            terms = request.getfixturevalue("level8_terms")
+        else:
+            terms = request.getfixturevalue("level9")[1]
+        as_decimals = [Decimal(arith.to_digits(t)) for t in terms]
+        profiles = [verify_child(k, t).as_dict() for t in (terms, as_decimals)]
+        assert profiles[0]["status"] == CONFIRMED
+        assert json.dumps(profiles[0]) == json.dumps(profiles[1])
+
+    def test_rejects_a_fractional_decimal_term(self, level8_terms):
+        terms = [Decimal(t) for t in level8_terms[:102]]
+        terms[50] += Decimal("0.5")
+        with pytest.raises(ArithmeticError):
+            verify_child(101, terms)
 
 
 class TestViolationPathway:
@@ -494,11 +512,17 @@ def test_tail_window_covers_every_other_truth_requirement():
         assert window >= ncd(n) + n - 2 + len(error_profile(n).digits) + 1 + GUARD_DIGITS
 
 
-def test_a_callers_decimal_context_does_not_leak_in(truth_80k, level8_terms):
-    # the Decimal arithmetic behind the int API runs under arith.EXACT: a
-    # caller's context, here one that traps any rounding at 5 digits, must
-    # not reach it
+def test_a_callers_decimal_context_does_not_leak_in(truth_80k, level8_terms, tmp_path, capsys):
+    # the Decimal arithmetic behind the int API and the CLI runs under
+    # arith.EXACT: a caller's context, here one that traps any rounding at 5
+    # digits, must not reach it
     num, den, _ = hwm_expansion(6, truth_80k)
+    decimal_terms = [Decimal(arith.to_digits(t)) for t in level8_terms]
+    out = tmp_path / "c8.txt"
+
+    def compute():
+        code = cli.main(["compute", "--hwm", "8", "--out", str(out), "--emit-numerator"])
+        return code, capsys.readouterr(), out.read_text()
 
     def outputs():
         return (
@@ -506,7 +530,9 @@ def test_a_callers_decimal_context_does_not_leak_in(truth_80k, level8_terms):
             numerator_for_hwm(8, truth_80k),
             verify_hwm(7).as_dict(),
             verify_child(357, level8_terms).as_dict(),
+            verify_child(357, decimal_terms).as_dict(),
             measure_error(num, den, truth_80k, mantissa_digits=6),
+            compute(),
         )
 
     want = outputs()

@@ -75,6 +75,49 @@ def _quotients(a, b) -> list:
     return terms
 
 
+_LEHMER_DIGITS = 38  # leading digits of a read per batch: two libmpdec words
+
+
+def _lehmer_quotients(a: Decimal, b: Decimal) -> list[Decimal]:
+    """_quotients(a, b) for integral Decimals a >= 0 < b under arith.EXACT,
+    in batches (Lehmer 1938; Knuth, TAOCP 4.5.2, Algorithm L).
+
+    A batch reads the _LEHMER_DIGITS leading digits of a, and b at the same
+    scale, exactly as Python ints x and y, and runs Euclid on those while
+    the quotient is certain: the same for (x+A)/(y+C) and (x+B)/(y+D), the
+    ends of the interval that a/b lies in, with cofactors (A, B; C, D)
+    that give the remainders as A*a + B*b and C*a + D*b. Those four short
+    multiplies then stand for every step of the batch. Where no quotient
+    is certain, as at a long quotient or a b far shorter than a, and
+    below _LEHMER_DIGITS digits, one full divmod takes the step.
+    """
+    terms: list[Decimal] = []
+    while b:
+        shift = a.adjusted() + 1 - _LEHMER_DIGITS
+        batch = []
+        if shift > 0:
+            # exact floors: to_integral_value signals neither Inexact nor Rounded
+            x, y = (int(v.scaleb(-shift).to_integral_value(ROUND_FLOOR)) for v in (a, b))
+            A, B, C, D = 1, 0, 0, 1
+            while y + C and y + D:
+                q = (x + A) // (y + C)
+                if q != (x + B) // (y + D):
+                    break
+                batch.append(q)
+                A, B, C, D = C, D, A - q * C, B - q * D
+                x, y = y, x - q * y
+        if batch:
+            terms += map(Decimal, batch)
+            a, b = A * a + B * b, C * a + D * b
+            if not a > b >= 0:  # a wrong batch would leave Euclid looping forever
+                raise ArithmeticError("a Lehmer batch left the remainder sequence")
+        else:
+            q, r = divmod(a, b)
+            terms.append(q)
+            a, b = b, r
+    return terms
+
+
 def hwm_expansion(n: int, prefix: DigitPrefix) -> tuple[int, int, list[int]]:
     """(numerator, denominator, coefficients) of the convergent before HWM #n.
 
@@ -112,18 +155,62 @@ def convergent_from_coefficients(terms: Sequence[int]) -> Fraction:
     inverse of cfe_extract on canonical lists."""
     if not terms:
         raise ValueError("empty coefficient list")
-    return Fraction(*(_continuant(s)[0] for s in (terms, terms[1:])))
+    return Fraction(*_convergent(terms))
+
+
+# a run of terms below _WORD is held in a 2x2 matrix of Python ints while
+# its entries stay below _WORD: each entry is then one libmpdec word
+_WORD = 10**18
+
+
+def _check_terms(seq: Sequence) -> None:
+    if any(a < 1 for a in seq[1:]):
+        raise ValueError("coefficients after the first must be >= 1")
 
 
 def _continuant(seq: Sequence[int]) -> tuple[int, int]:
     """(K(seq), K(seq[:-1])) for the continuant K(x1..xm) = xm*K(x1..xm-1)
     + K(x1..xm-2), K() = 1, with 0 in second place for an empty seq (Knuth,
     TAOCP 4.5.3). a0..ak converges to K(a0..ak) / K(a1..ak), in lowest terms."""
-    if any(a < 1 for a in seq[1:]):
-        raise ValueError("coefficients after the first must be >= 1")
-    k, k_prev = 1, 0
+    _check_terms(seq)
+    return _batched_continuant(seq)
+
+
+def _convergent(terms: Sequence[int]) -> tuple[int, int]:
+    """(K(terms), K(terms[1:])), the convergent of terms in lowest terms, in
+    one pass: K(s) = K(reversed s), so the pass over terms reversed ends on
+    both. The check runs first, as the first term, which may be 0, comes
+    last in reversed order."""
+    _check_terms(terms)
+    return _batched_continuant(terms[::-1])
+
+
+def _batched_continuant(seq: Sequence) -> tuple:
+    """_continuant without the check, for ints or integral Decimals (then
+    under arith.EXACT). A run of terms below _WORD goes into the matrix
+    m = [[m00, m01], [m10, m11]] of Python ints, which is applied to
+    (k, k_prev) by four one-word multiplies before a longer term, before
+    an entry would reach _WORD, and at the end: the plain recurrence pays
+    a multiply by a long k per term. k is of the terms' type, so Decimal
+    terms give Decimals with exponent 0 however short the run."""
+    zero = type(seq[0])(0) if seq else 0
+    k, k_prev = zero + 1, zero
+    m00, m01, m10, m11 = 1, 0, 0, 1
     for a in seq:
-        k, k_prev = a * k + k_prev, k
+        if a < _WORD:
+            a = int(a)
+            if a * m00 + m10 < _WORD:
+                m00, m01, m10, m11 = a * m00 + m10, a * m01 + m11, m00, m01
+                continue
+        if m10 or m01:  # not the identity: flush the run before this term
+            k, k_prev = m00 * k + m01 * k_prev, m10 * k + m11 * k_prev
+        if a < _WORD:  # starts the next run
+            m00, m01, m10, m11 = a, 1, 1, 0
+        else:
+            m00, m01, m10, m11 = 1, 0, 0, 1
+            k, k_prev = a * k + k_prev, k
+    if m10 or m01:
+        k, k_prev = m00 * k + m01 * k_prev, m10 * k + m11 * k_prev
     return k, k_prev
 
 
@@ -214,7 +301,7 @@ def _extend(
     division, in which b stays short and the long HWM term enters no product.
     """
     with localcontext(arith.EXACT):
-        tail = _odd_index_split(_quotients(x, y))
+        tail = _odd_index_split(_lehmer_quotients(x, y))
         r00, r01 = _continuant(tail[1:])
         g = _exact_quotient(y, r00)
         q_prev = _exact_quotient(b * r01 - g * q, y)

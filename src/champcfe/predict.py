@@ -205,10 +205,20 @@ def nines_run(n: int) -> int | None:
     return _NINES_RUNS.get(n)
 
 
+_NINES = re.compile("9+")
+
+
 def longest_nines(s: str) -> re.Match | None:
     """The first of the longest runs of nines in s, or None."""
-    # max() keeps the first maximal element
-    return max(re.finditer("9+", s), key=lambda m: m.end() - m.start(), default=None)
+    # galloping: the first hit of one nine more than the best run, searched
+    # from the run's end, starts the first longer run (a nine before the
+    # hit would make an earlier hit), so no shorter run is matched
+    best = None
+    i = s.find("9")
+    while i >= 0:
+        best = _NINES.match(s, i)
+        i = s.find("9" * (best.end() - best.start() + 1), best.end())
+    return best
 
 
 def parity_consistent(coefficient_index: int, generation: int = 1) -> bool:

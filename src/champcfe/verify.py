@@ -395,7 +395,7 @@ def verify_child(
     p_len = predict.child_length(m - 1)
 
     with localcontext(arith.EXACT):
-        num, den = [cfe._continuant(s)[0] for s in (head[:k], head[1:k])]
+        num, den = cfe._convergent(head[:k])
 
     exp = -p_err.exponent
     need = exp + len(p_err.digits) + 1 + GUARD_DIGITS

@@ -1,7 +1,8 @@
 """Shared fixtures: the constant's first 80,000 digits, the level-8 and
 level-9 coefficients as the program computes them (hwm_expansion, on the
-level chain), and int_expansion, the oracle for that path: plain int Euclid
-run from the start, which no program code runs any more."""
+level chain), int_expansion, the oracle for that path: plain int Euclid
+run from the start, which no program code runs any more, and continuant,
+the plain recurrence that the program's batched continuant must match."""
 
 import sys
 
@@ -62,3 +63,19 @@ def int_expansion():
         return num, den, terms
 
     return expand
+
+
+def _plain_continuant(seq):
+    """(K(seq), K(seq[:-1])) by the recurrence K = a*K + K_prev, one term at
+    a time, with no check on the terms."""
+    k, k_prev = 1, 0
+    for a in seq:
+        k, k_prev = a * k + k_prev, k
+    return k, k_prev
+
+
+@pytest.fixture(scope="session")
+def continuant():
+    """The oracle for cfe._continuant and every q, q_prev and R00 taken from
+    it: the plain recurrence, on ints or, inside arith.EXACT, Decimals."""
+    return _plain_continuant

@@ -1,7 +1,8 @@
 import io
 import math
 import random
-from decimal import Decimal
+import re
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -125,7 +126,8 @@ class TestRebuild:
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(ValueError):
             convergent_from_coefficients([])
-        for terms in ([0, 0, 3], [1, 0, 2]):  # a0 may be 0, no later term
+        # a0 may be 0, no later term; a last 0 comes first in reversed order
+        for terms in ([0, 0, 3], [1, 0, 2], [3, 0]):
             with pytest.raises(ValueError, match="after the first must be >= 1"):
                 convergent_from_coefficients(terms)
 
@@ -200,6 +202,92 @@ def test_continuant_gives_the_convergent_and_the_one_before(terms):
     x = fraction_right_to_left(terms)
     assert (p, q) == (x.numerator, x.denominator)
     assert q_prev == (fraction_right_to_left(terms[:-1]).denominator if len(terms) > 1 else 0)
+
+
+def word_edges():
+    """Terms at the continuant's one-word bound, where a run must flush."""
+    return st.sampled_from([cfe._WORD - 1, cfe._WORD, cfe._WORD + 1])
+
+
+@st.composite
+def continuant_lists(draw):
+    """Term lists for the batched continuant: a first term that may be 0,
+    then single terms (small, near a power of ten, at the one-word bound or
+    up to 40 digits) and runs of up to 200 ones, whose continuant crosses
+    the bound after 87; or the empty list."""
+    if draw(st.integers(0, 19)) == 0:
+        return []
+    first = draw(st.one_of(st.just(0), st.integers(0, 10**6), word_edges()))
+    single = st.one_of(
+        st.integers(1, 10**6), near_powers(), word_edges(), st.integers(1, 10**40)
+    ).map(lambda t: [t])
+    ones = st.integers(1, 200).map(lambda n: [1] * n)
+    chunks = draw(st.lists(st.one_of(single, ones), max_size=12))
+    return [first] + [t for chunk in chunks for t in chunk]
+
+
+@given(terms=continuant_lists(), as_decimals=st.booleans())
+@settings(max_examples=400)
+def test_batched_continuant_matches_the_recurrence(terms, as_decimals, continuant):
+    # the one-word batches against the plain recurrence, forward and on the
+    # reversed single pass; Decimal terms give Decimals with exponent 0
+    want = continuant(terms)
+    pair = (want[0], continuant(terms[1:])[0]) if terms else None
+    with localcontext(arith.EXACT):
+        seq = [Decimal(t) for t in terms] if as_decimals else terms
+        got = cfe._continuant(seq)
+        got_pair = cfe._convergent(seq) if terms else None
+    assert got == want
+    assert got_pair == pair
+    if as_decimals:
+        assert [str(v) for v in got + (got_pair or ())] == [str(v) for v in want + (pair or ())]
+
+
+@st.composite
+def lehmer_pairs(draw):
+    """(a, b) for the Lehmer loop: a rational from a term list with planted
+    40-digit quotients and powers of ten (and their neighbours), times a
+    common factor; or a random pair whose larger operand has 37 to 39
+    digits, about the digits a batch reads."""
+    if draw(st.booleans()):
+        digits = draw(st.integers(37, 39))
+        a = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
+        return a, draw(st.integers(1, a))
+    terms = [draw(st.integers(0, 9))] + draw(
+        st.lists(
+            st.one_of(
+                st.integers(1, 50),
+                st.integers(10**39, 10**40 - 1),
+                st.integers(0, 45).map(lambda e: 10**e),
+                near_powers(),
+            ),
+            max_size=40,
+        )
+    )
+    x = convergent_from_coefficients(terms)
+    scale = draw(st.one_of(st.just(1), st.integers(2, 10**45)))
+    return x.numerator * scale, x.denominator * scale
+
+
+@given(pair=lehmer_pairs())
+@settings(max_examples=500)
+def test_lehmer_quotients_match_plain_euclid(pair):
+    a, b = pair
+    with localcontext(arith.EXACT):
+        got = cfe._lehmer_quotients(Decimal(a), Decimal(b))
+    assert [str(q) for q in got] == [str(q) for q in cfe._quotients(a, b)]
+
+
+def test_lehmer_quotients_on_short_form_and_long_operands():
+    # a short-form denominator, as _level_chain restarts on one, and operands
+    # of thousands of digits, where the batches carry nearly every step
+    rng = random.Random(38)
+    for _ in range(5):
+        a, b = rng.randrange(10**3000), rng.randrange(1, 10**2990)
+        b10 = b * 10**40
+        with localcontext(arith.EXACT):
+            got = cfe._lehmer_quotients(Decimal(a), Decimal(b).scaleb(40))
+        assert [str(q) for q in got] == [str(q) for q in cfe._quotients(a, b10)]
 
 
 def hwm_split(terms):
@@ -326,7 +414,7 @@ def chain_step(terms, a, b, short=False):
 
 @given(case=split_rationals())
 @settings(max_examples=400)
-def test_chain_step_matches_euclid_from_the_start(case):
+def test_chain_step_matches_euclid_from_the_start(case, continuant):
     # the tail, the q_prev of the continuant over every term and the gcd
     # verdict, or a failure wherever the expansion does not continue terms
     terms, a, b, short = case
@@ -338,11 +426,11 @@ def test_chain_step_matches_euclid_from_the_start(case):
     else:
         tail, q_prev, coprime = got
         assert tail == full[k:]
-        assert q_prev == cfe._continuant(full[1:])[1]
+        assert q_prev == continuant(full[1:])[1]
         assert coprime == (math.gcd(a, b) == 1)
 
 
-def test_level_chain_matches_the_int_expansion(truth_80k, int_expansion):
+def test_level_chain_matches_the_int_expansion(truth_80k, int_expansion, continuant):
     # the chain as Decimal digit strings, and hwm_expansion as ints, against
     # the int oracle
     value = Decimal(truth_80k.digits)
@@ -352,14 +440,14 @@ def test_level_chain_matches_the_int_expansion(truth_80k, int_expansion):
         num, den, want = int_expansion(n, truth_80k)
         digits = [to_digits(t) for t in want]
         assert [str(t) for t in terms] == digits
-        assert str(q_prev) == to_digits(cfe._continuant(want[1:])[1])
+        assert str(q_prev) == to_digits(continuant(want[1:])[1])
         assert coprime
         assert [t.adjusted() + 1 for t in terms] == [len(s) for s in digits]
         assert hwm_expansion(n, truth_80k) == (num, den, want)
 
 
 @pytest.mark.parametrize("perturb", ["double", "shift"])
-def test_level_chain_restarts_off_the_chain(perturb, truth_80k):
+def test_level_chain_restarts_off_the_chain(perturb, truth_80k, continuant):
     # level 6 doubled (out of lowest terms: level 7 restarts) or with its
     # denominator moved two places (off level 5's terms: level 6 restarts);
     # every later level still gives Euclid's terms, q_prev and gcd verdict
@@ -372,7 +460,7 @@ def test_level_chain_restarts_off_the_chain(perturb, truth_80k):
         want = hwm_split(cfe_extract(a, b))
         assert cfe._level_chain(pairs[: n - 3]) == (
             want,
-            cfe._continuant(want[1:])[1],
+            continuant(want[1:])[1],
             math.gcd(a, b) == 1,
         )
 
@@ -386,7 +474,7 @@ def test_decimal_numerator_equals_the_int_one(n, truth_80k, int_expansion):
     assert numerator_for_hwm(n, truth_80k) == want_num
 
 
-def test_recurrence_tells_lowest_terms(truth_80k):
+def test_recurrence_tells_lowest_terms(truth_80k, continuant):
     # the continuant's q == den stands in for gcd(num, den) == 1
     pairs = [hwm_expansion(n, truth_80k) for n in range(4, 9)]
     num, den, _ = pairs[2]
@@ -394,7 +482,7 @@ def test_recurrence_tells_lowest_terms(truth_80k):
         pairs.append((g * num, g * den, hwm_split(cfe_extract(g * num, g * den))))
     coprime = [math.gcd(num, den) == 1 for num, den, _ in pairs]
     assert coprime == [True] * 5 + [False] * 4
-    assert [cfe._continuant(terms[1:])[0] == den for _, den, terms in pairs] == coprime
+    assert [continuant(terms[1:])[0] == den for _, den, terms in pairs] == coprime
 
 
 class TestNaive:
@@ -444,6 +532,14 @@ class TestNumeratorTails:
         m = longest_nines("1991299939992")
         assert (m.start(), m[0]) == (5, "999")
         assert longest_nines("12345") is None
+
+    @given(s=st.text(alphabet="99990189", max_size=80))
+    @settings(max_examples=500)
+    def test_longest_nines_matches_every_run_scanned(self, s):
+        # the galloping search against max() over every run of nines
+        want = max(re.finditer("9+", s), key=lambda m: m.end() - m.start(), default=None)
+        got = longest_nines(s)
+        assert (got and (got.span(), got[0])) == (want and (want.span(), want[0]))
 
 
 class TestCoefficientFiles:

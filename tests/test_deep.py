@@ -55,7 +55,7 @@ def test_level9_full_verification():
     print("\ndeep: level 9 confirmed, error 9.00001E-5888890, next length 4911098")
 
 
-def test_level9_chain_matches_the_int_expansion(level9, int_expansion):
+def test_level9_chain_matches_the_int_expansion(level9, int_expansion, continuant):
     # digit strings against digit strings and ints against ints: Decimal ==
     # int converts the int, quadratically, on every long term
     truth, expanded = level9
@@ -66,7 +66,7 @@ def test_level9_chain_matches_the_int_expansion(level9, int_expansion):
     terms, q_prev, coprime = chain
     assert [str(t) for t in terms] == [to_digits(t) for t in want]
     assert coprime
-    assert str(q_prev) == to_digits(cfe._continuant(want[1:])[1])
+    assert str(q_prev) == to_digits(continuant(want[1:])[1])
 
 
 def test_level9_child_1221(level9):

@@ -26,7 +26,7 @@ from champcfe import (
     verify_child,
     verify_hwm,
 )
-from champcfe import arith, cli
+from champcfe import arith, cfe, cli
 from champcfe.arith import first_difference
 
 HWM5 = (60_499_999_499, 490_050_000_000)
@@ -248,6 +248,23 @@ class TestVerifyChild:
         profiles = [verify_child(k, t).as_dict() for t in (terms, as_decimals)]
         assert profiles[0]["status"] == CONFIRMED
         assert json.dumps(profiles[0]) == json.dumps(profiles[1])
+
+    @pytest.mark.parametrize("n, k", [(8, 101), (8, 357), (9, 1221)])
+    def test_one_reversed_pass_gives_both_continuants(
+        self, request, monkeypatch, continuant, n, k
+    ):
+        # the pair verify_child reads off the reversed pass, against the
+        # numerator and denominator from two forward plain recurrences
+        if n == 8:
+            terms = request.getfixturevalue("level8_terms")
+        else:
+            terms = request.getfixturevalue("level9")[1]
+        seen = []
+        real = cfe._convergent
+        monkeypatch.setattr(cfe, "_convergent", lambda s: seen.append(real(s)) or seen[-1])
+        assert verify_child(k, terms).status == CONFIRMED
+        num, den = (arith.to_digits(continuant(s)[0]) for s in (terms[:k], terms[1:k]))
+        assert [tuple(map(str, pair)) for pair in seen] == [(num, den)]
 
     def test_rejects_a_fractional_decimal_term(self, level8_terms):
         terms = [Decimal(t) for t in level8_terms[:102]]

@@ -103,6 +103,16 @@ def _int_to_decimal(x: int, j: int, pow2: list) -> decimal.Decimal:
     return _int_to_decimal(x >> w, j - 1, pow2) * pow2[j] + lo if x >> w else lo
 
 
+def _exact_quotient(a: decimal.Decimal, b: decimal.Decimal | int) -> decimal.Decimal:
+    """a / b for integral Decimals (or an int b), under EXACT; ArithmeticError
+    unless b divides a."""
+    # divmod, not /: under EXACT an inexact / fails with MemoryError, not Inexact
+    quotient, remainder = divmod(a, b)
+    if remainder:
+        raise ArithmeticError("the divisor does not divide the dividend exactly")
+    return quotient
+
+
 def first_difference(a: str, b: str) -> int | None:
     """Index of the first differing character, or None if one string is a
     prefix of the other."""

@@ -41,7 +41,8 @@ def numerator_for_hwm(n: int, prefix: DigitPrefix) -> int:
     10**(p + 2 - n), so this is the ceiling of mantissa * v / 10**(n - 2).
     For n = 4 the half-scale identity applies: ceil(40.5 * 0.1) = 5, then
     doubled back to 10 over the true denominator predict.denominator(4)."""
-    return arith.from_digits(str(_short_pair(n, prefix, Decimal(prefix.digits))[0]))
+    pair = _short_pair(n, prefix.last_position, Decimal(prefix.digits))
+    return arith.from_digits(str(pair[0]))
 
 
 def _numerator(n: int, v: Decimal) -> Decimal:
@@ -127,17 +128,17 @@ def hwm_expansion(n: int, prefix: DigitPrefix) -> tuple[int, int, list[int]]:
     The numerator and terms are _hwm_chain's, made ints only at the return,
     by from_digits of their digit strings: int(Decimal) is quadratic.
     """
-    num, terms = _hwm_chain(n, prefix)
+    num, terms = _hwm_chain(n, prefix.last_position, Decimal(prefix.digits))
     terms = [arith.from_digits(str(t)) for t in terms]
     return arith.from_digits(str(num)), predict.denominator(n), terms
 
 
-def _hwm_chain(n: int, prefix: DigitPrefix) -> tuple[Decimal, list[Decimal]]:
+def _hwm_chain(n: int, p: int, value: Decimal) -> tuple[Decimal, list[Decimal]]:
     """hwm_expansion's numerator and terms as exact Decimals with exponent 0,
-    so str() of each is its digit string: _level_chain over levels 4..n."""
-    value = Decimal(prefix.digits)
-    top = _short_pair(n, prefix, value)  # level n first: a short prefix names its position
-    pairs = [_short_pair(m, prefix, value) for m in range(4, n)] + [top]
+    so str() of each is its digit string: _level_chain over levels 4..n, on
+    the digits through position p read as the integer value."""
+    top = _short_pair(n, p, value)  # level n first: a short prefix names its position
+    pairs = [_short_pair(m, p, value) for m in range(4, n)] + [top]
     return top[0], _level_chain(pairs)[0]
 
 
@@ -214,29 +215,20 @@ def _batched_continuant(seq: Sequence) -> tuple:
     return k, k_prev
 
 
-def _short_pair(n: int, prefix: DigitPrefix, value: Decimal) -> tuple[Decimal, Decimal]:
+def _short_pair(n: int, p: int, value: Decimal) -> tuple[Decimal, Decimal]:
     """Level n's numerator and short-form denominator as exact Decimals, where
-    value is Decimal(prefix.digits): the required digits are its leading ones,
-    so no level parses the prefix again."""
-    p = required_prefix_position(n)
-    if prefix.last_position < p:
-        raise PrecisionError(required_position=p, got=prefix.last_position)
+    value is the digits through position p read as an integer, as
+    digits._truth_value gives it: the required digits are its leading ones,
+    so every level reads the one value."""
+    need = required_prefix_position(n)
+    if p < need:
+        raise PrecisionError(required_position=need, got=p)
     sci = predict.denominator_sci(n)
     with localcontext(arith.EXACT):
         den = Decimal(sci.digits).scaleb(sci.exponent - (len(sci.digits) - 1))
         # an exact floor: to_integral_value signals neither Inexact nor Rounded
-        v = value.scaleb(p - prefix.last_position).to_integral_value(ROUND_FLOOR)
+        v = value.scaleb(need - p).to_integral_value(ROUND_FLOOR)
         return _numerator(n, v), den
-
-
-def _exact_quotient(a: Decimal, b: Decimal) -> Decimal:
-    """a / b for integral Decimals, under arith.EXACT; ArithmeticError unless
-    b divides a."""
-    # divmod, not /: under EXACT an inexact / fails with MemoryError, not Inexact
-    quotient, remainder = divmod(a, b)
-    if remainder:
-        raise ArithmeticError("the cofactors do not belong together")
-    return quotient
 
 
 def _remainder_pair(
@@ -261,7 +253,7 @@ def _remainder_pair(
     """
     with localcontext(arith.EXACT):
         y = p * b - q * a
-        x = _exact_quotient(b - q_prev * y, q)
+        x = arith._exact_quotient(b - q_prev * y, q)
     return (x, y) if x > y > 0 else None
 
 
@@ -303,8 +295,8 @@ def _extend(
     with localcontext(arith.EXACT):
         tail = _odd_index_split(_lehmer_quotients(x, y))
         r00, r01 = _continuant(tail[1:])
-        g = _exact_quotient(y, r00)
-        q_prev = _exact_quotient(b * r01 - g * q, y)
+        g = arith._exact_quotient(y, r00)
+        q_prev = arith._exact_quotient(b * r01 - g * q, y)
     return tail, q_prev, g == 1
 
 

@@ -15,7 +15,7 @@ import time
 from decimal import Decimal
 from pathlib import Path
 
-from . import arith, cfe, generations, predict, verify
+from . import arith, cfe, digits, generations, predict, verify
 from .digits import DEFAULT_DIGIT_BUDGET, DigitBudgetError, digits_up_to
 
 ENV_BUDGET = "CHAMPCFE_MAX_DIGITS"
@@ -121,9 +121,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_compute(args: argparse.Namespace) -> int:
     n = args.hwm
     _require_deep(n, args, MAX_COMPUTE_HWM, "coefficient computation")
-    prefix = digits_up_to(cfe.required_prefix_position(n), max_digits=args.max_digits)
+    p = cfe.required_prefix_position(n)
     # the chain's Decimals have exponent 0: str() is the digits, no radix conversion
-    num, terms = cfe._hwm_chain(n, prefix)
+    num, terms = cfe._hwm_chain(n, p, digits._truth_value(p, args.max_digits))
     with open(args.out, "w", newline="") as fp:
         cfe._write_lines(map(str, terms), fp)
     if args.emit_numerator:
@@ -171,7 +171,8 @@ def _classify_text(rows: list[dict]) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    with open(args.coefficients) as fp:
+    # newline="": a CR stays in its line, which _coefficient_lines rejects
+    with open(args.coefficients, newline="") as fp:
         lengths = cfe.coefficient_digit_lengths(fp)
     entries = generations.classify(lengths)
     payload = [
@@ -188,7 +189,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_child(args: argparse.Namespace) -> int:
-    with open(args.coefficients) as fp:
+    with open(args.coefficients, newline="") as fp:
         terms = [Decimal(s) for s in cfe._coefficient_lines(fp)]  # exact in any context
     profile = verify.verify_child(
         args.coefficient_index, terms, max_digits=args.max_digits

@@ -10,6 +10,7 @@ at position 15.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from itertools import repeat
 
 from . import arith
@@ -86,6 +87,13 @@ def locate_position(p: int) -> DigitLocation:
     return DigitLocation(integer=10 ** (d - 1) + q, digit_ordinal=r + 1)
 
 
+def _check_budget(p: int, max_digits: int) -> None:
+    if p < 0:
+        raise ValueError("p must be >= 0")
+    if p > max_digits:
+        raise DigitBudgetError(requested=p, budget=max_digits)
+
+
 def digits_up_to(p: int, max_digits: int = DEFAULT_DIGIT_BUDGET) -> DigitPrefix:
     """First p fractional digits of the constant, preceded by the leading '0'.
 
@@ -93,10 +101,7 @@ def digits_up_to(p: int, max_digits: int = DEFAULT_DIGIT_BUDGET) -> DigitPrefix:
     joined with _HUNDRED is 100h .. 100h+99). Only the last piece is trimmed,
     so the final join is the one full-length copy: peak memory about 2*p.
     """
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    if p > max_digits:
-        raise DigitBudgetError(requested=p, budget=max_digits)
+    _check_budget(p, max_digits)
     parts = ["0"]
     total = 1
     n, width = 1, 1
@@ -111,3 +116,48 @@ def digits_up_to(p: int, max_digits: int = DEFAULT_DIGIT_BUDGET) -> DigitPrefix:
     if total > p + 1:  # the last integer overshoots p
         parts[-1] = parts[-1][: p + 1 - total]
     return DigitPrefix("".join(parts))
+
+
+def _truth_value(p: int, max_digits: int = DEFAULT_DIGIT_BUDGET) -> Decimal:
+    """Decimal(digits_up_to(p).digits), the digits through position p read as
+    an integer V, built in closed form with no digit string: an exact
+    Decimal with exponent 0, which holds 8 bytes per 19 digits.
+
+    The d-digit integers a..b, N = b - a + 1 of them and B = 10**d,
+    concatenate to S = sum of (b - i)*B**i over i < N, an arithmetico-
+    geometric series: S = ((K1 - K2)*10**(d*N) - K1) / (B - 1)**2 with
+    K1 = b*(B - 1) + B and K2 = N*(B - 1). Up to d = 9 the divisor is one
+    libmpdec word, so each block is one subtraction and one short exact
+    division. The last block runs through the integer covering p, whose
+    digits past p a floor cut drops.
+    """
+    _check_budget(p, max_digits)
+    if p == 0:
+        return Decimal(0)
+    last = locate_position(p)
+    width = len(str(last.integer))
+    v = Decimal(0)
+    with localcontext(arith.EXACT):
+        for d in range(1, width + 1):
+            b = last.integer if d == width else 10**d - 1
+            n, w = b - 10 ** (d - 1) + 1, 10**d - 1
+            k1, shift = b * w + w + 1, d * n
+            # (K1 - K2)*10**shift is short: only the subtraction of K1 writes
+            # every digit; no name holds that dividend past the division
+            v = v.scaleb(shift) + arith._exact_quotient(
+                (k1 - n * w) * Decimal(1).scaleb(shift) - k1, w * w
+            )
+        # an exact floor: to_integral_value signals neither Inexact nor Rounded
+        return v.scaleb(last.digit_ordinal - width).to_integral_value(ROUND_FLOOR)
+
+
+def _digit_window(a: int, p: int) -> str:
+    """digits_up_to(p).digits[a:], the digits of positions a..p, from the
+    integers that cover them: no digit before position a is made."""
+    if a > p:
+        return ""
+    if a == 0:
+        return "0" + _digit_window(1, p)
+    first, last = locate_position(a), locate_position(p)
+    s = "".join(map(str, range(first.integer, last.integer + 1)))
+    return s[first.digit_ordinal - 1 : len(s) - len(str(last.integer)) + last.digit_ordinal]

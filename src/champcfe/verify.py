@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from decimal import Decimal, localcontext
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
-from . import arith, cfe, generations, predict
+from . import arith, cfe, digits, generations, predict
 from .digits import (
     DEFAULT_DIGIT_BUDGET,
     DigitLocation,
     DigitPrefix,
-    digits_up_to,
+    digits_up_to,  # noqa: F401 -- unused here; champbench's tracer test patches this binding
     locate_position,
 )
 from .predict import SciDecimal
@@ -73,25 +74,29 @@ def _jsonable(value):
     return value
 
 
-def _residual(
-    numerator: Decimal, denominator: Decimal, truth: DigitPrefix, value: Decimal
-) -> Decimal:
-    """num·10^P − V·den for the truncation V/10^P of the constant, where
+def _residual(numerator: Decimal, denominator: Decimal, p: int, value: Decimal) -> Decimal:
+    """num·10^p − V·den for the truncation V/10^p of the constant, where
     value is V as a Decimal: the one exact quantity that every digit-level
     observation is read from."""
     with localcontext(arith.EXACT):
-        return numerator.scaleb(truth.last_position) - value * denominator
+        return numerator.scaleb(p) - value * denominator
 
 
 def _first_failure(
-    numerator: Decimal, denominator: Decimal, truth: DigitPrefix, diff: Decimal, tail_len: int = 0
+    numerator: Decimal,
+    denominator: Decimal,
+    p: int,
+    window: Callable[[int], str],
+    diff: Decimal,
+    tail_len: int = 0,
 ) -> tuple[int, DigitLocation, int, str] | None:
     """(first position where the expansion of numerator/denominator leaves
-    truth, where that digit lives, what the expansion reads in place of the
-    failing integer, tail_len expansion digits from that position), or None
-    when the expansion matches every digit of truth.
+    the truth digits through position p, where that digit lives, what the
+    expansion reads in place of the failing integer, tail_len expansion
+    digits from that position), or None when the expansion matches every
+    truth digit. window(a) gives the truth digits of positions a..p.
 
-    floor(num·10^P/den) = V + floor(diff/den), and that carry is small, so
+    floor(num·10^p/den) = V + floor(diff/den), and that carry is small, so
     the expansion differs from truth only in a short low end: widen it until
     the carry stops inside it, and never expand the whole window.
     """
@@ -104,20 +109,21 @@ def _first_failure(
         carry -= rem < 0  # divmod truncates toward zero; the carry is the floor
         if not carry:
             return None
-        size = len(truth.digits)
+        size = p + 1
         w = carry.adjusted() + 2
         while True:
             w = min(w, size)
-            low = Decimal(truth.digits[size - w :]) + carry
-            if 0 <= low.scaleb(-w) < 1:  # always true once w == size, as 0 <= V + carry < 10^P
+            low_digits = window(size - w)
+            low = Decimal(low_digits) + carry
+            if 0 <= low.scaleb(-w) < 1:  # always true once w == size, as 0 <= V + carry < 10^p
                 break
             w *= 2
     base = size - w
     conv = str(low).rjust(w, "0")  # low has exponent 0: str() is its digits
-    pos = base + arith.first_difference(conv, truth.digits[base:])
+    pos = base + arith.first_difference(conv, low_digits)
     loc = locate_position(pos)
     start = pos - loc.digit_ordinal + 1  # first digit of the failing integer
-    conv = truth.digits[start:base] + conv[max(0, start - base) :]
+    conv = window(start)[: base - start] + conv if start < base else conv[start - base :]
     fails_as = int(conv[: len(str(loc.integer))])
     return pos, loc, fails_as, conv[pos - start : pos - start + tail_len]
 
@@ -128,10 +134,12 @@ def measure_ncd(
     """Number of correct digits (the position of the first wrong one,
     counting the leading '0') and where that digit lives."""
     num, den = arith.to_decimal(numerator), arith.to_decimal(denominator)
-    found = _first_failure(num, den, truth, _residual(num, den, truth, Decimal(truth.digits)))
+    p = truth.last_position
+    diff = _residual(num, den, p, Decimal(truth.digits))
+    found = _first_failure(num, den, p, lambda a: truth.digits[a:], diff)
     if found is None:
         raise InsufficientTruthError(
-            required=truth.last_position + 2,
+            required=p + 2,
             detail="no mismatch within the supplied digits",
         )
     return found[0], found[1]
@@ -156,7 +164,7 @@ def measure_error(
     if mantissa_digits < 1:
         raise ValueError("mantissa_digits must be >= 1")
     num, den = arith.to_decimal(numerator), arith.to_decimal(denominator)
-    diff = _residual(num, den, truth, Decimal(truth.digits))
+    diff = _residual(num, den, truth.last_position, Decimal(truth.digits))
     return _error(diff, den, truth.last_position, mantissa_digits)
 
 
@@ -262,21 +270,20 @@ def verify_hwm(
     # the tail window ends 3n+56 digits past p_ncd; that covers this level's
     # prefix and the next one's (p_ncd + n - 2) and the error digits with
     # their guard (2n+6 past p_ncd, 15 at n = 4)
-    truth = digits_up_to(p_ncd + len(p_tail) + 64, max_digits=max_digits)
-
-    value = Decimal(truth.digits)  # the one parse: every level's prefix is its leading digits
+    p = p_ncd + len(p_tail) + 64
+    value = digits._truth_value(p, max_digits)  # every level's prefix is its leading digits
     last = n + 1 if check_next_hwm else n
-    pairs = [cfe._short_pair(m, truth, value) for m in range(4, last + 1)]
+    pairs = [cfe._short_pair(m, p, value) for m in range(4, last + 1)]
     num, den = pairs[n - 4]
     terms, q_prev, coprime = cfe._level_chain(pairs[: n - 3])
     k = len(terms)
     total_digits = sum(t.adjusted() + 1 for t in terms)
 
-    diff = _residual(num, den, truth, value)
-    found = _first_failure(num, den, truth, diff, len(p_tail))
+    diff = _residual(num, den, p, value)
+    found = _first_failure(num, den, p, partial(digits._digit_window, p=p), diff, len(p_tail))
     if found is None:
         raise InsufficientTruthError(
-            required=truth.last_position + 2,
+            required=p + 2,
             detail="no mismatch found; expansion window exhausted",
         )
     pos, loc, fails_as, obs_tail = found
@@ -295,7 +302,7 @@ def verify_hwm(
 
     err_obs = None
     if compute_error:
-        err_obs = _error(diff, den, truth.last_position, len(p_err.digits) + 1)
+        err_obs = _error(diff, den, p, len(p_err.digits) + 1)
         checks.append(_check("error", p_err, err_obs.round_to(len(p_err.digits))))
 
     num_digits = str(num)
@@ -399,11 +406,11 @@ def verify_child(
 
     exp = -p_err.exponent
     need = exp + len(p_err.digits) + 1 + GUARD_DIGITS
-    truth = digits_up_to(need, max_digits=max_digits)
+    value = digits._truth_value(need, max_digits)
 
-    diff = _residual(num, den, truth, Decimal(truth.digits))
-    err_obs = _error(diff, den, truth.last_position, len(p_err.digits) + 1)
-    found = _first_failure(num, den, truth, diff)
+    diff = _residual(num, den, need, value)
+    err_obs = _error(diff, den, need, len(p_err.digits) + 1)
+    found = _first_failure(num, den, need, partial(digits._digit_window, p=need), diff)
     if found is None or found[0] > exp + 32:
         raise InsufficientTruthError(required=exp + 34)
     pos, loc, fails_as, _ = found

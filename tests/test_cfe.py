@@ -349,8 +349,8 @@ def test_next_term_digits_at_the_hwm_levels(n, truth_80k, int_expansion):
     # denominators, and q_prev from the continuant
     num, den, terms = int_expansion(n, truth_80k)
     num2, den2, following = int_expansion(n + 1, truth_80k)
-    value = Decimal(truth_80k.digits)
-    (p, q), (a, b) = (cfe._short_pair(m, truth_80k, value) for m in (n, n + 1))
+    value, last = Decimal(truth_80k.digits), truth_80k.last_position
+    (p, q), (a, b) = (cfe._short_pair(m, last, value) for m in (n, n + 1))
     q_prev = to_decimal(cfe._continuant(terms[1:])[1])
     assert (p, q, a, b) == tuple(map(to_decimal, (num, den, num2, den2)))
     for m, short in ((n, q), (n + 1, b)):  # the mantissa digits times a power of ten
@@ -434,7 +434,7 @@ def test_level_chain_matches_the_int_expansion(truth_80k, int_expansion, continu
     # the chain as Decimal digit strings, and hwm_expansion as ints, against
     # the int oracle
     value = Decimal(truth_80k.digits)
-    pairs = [cfe._short_pair(m, truth_80k, value) for m in range(4, 9)]
+    pairs = [cfe._short_pair(m, truth_80k.last_position, value) for m in range(4, 9)]
     for n in range(4, 9):
         terms, q_prev, coprime = cfe._level_chain(pairs[: n - 3])
         num, den, want = int_expansion(n, truth_80k)
@@ -452,7 +452,7 @@ def test_level_chain_restarts_off_the_chain(perturb, truth_80k, continuant):
     # denominator moved two places (off level 5's terms: level 6 restarts);
     # every later level still gives Euclid's terms, q_prev and gcd verdict
     value = Decimal(truth_80k.digits)
-    pairs = [cfe._short_pair(m, truth_80k, value) for m in range(4, 9)]
+    pairs = [cfe._short_pair(m, truth_80k.last_position, value) for m in range(4, 9)]
     a, b = pairs[2]
     pairs[2] = (2 * a, 2 * b) if perturb == "double" else (a, b.scaleb(2))
     for n in range(6, 9):
@@ -467,7 +467,7 @@ def test_level_chain_restarts_off_the_chain(perturb, truth_80k, continuant):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_decimal_numerator_equals_the_int_one(n, truth_80k, int_expansion):
-    num, den = cfe._short_pair(n, truth_80k, Decimal(truth_80k.digits))
+    num, den = cfe._short_pair(n, truth_80k.last_position, Decimal(truth_80k.digits))
     want_num, want_den, _ = int_expansion(n, truth_80k)
     assert (str(num), den) == (to_digits(want_num), to_decimal(want_den))
     assert num.as_tuple().exponent == 0

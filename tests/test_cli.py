@@ -256,6 +256,20 @@ class TestClassify:
             assert err.startswith("error: line 2:") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_cr_newlines_are_rejected(self, capsys, tmp_path, coefficients8, newline):
+        # the grammar is LF only: a CRLF or bare-CR copy of a good file is malformed
+        bad = tmp_path / "cr.txt"
+        bad.write_bytes(coefficients8.read_bytes().replace(b"\n", newline))
+        for argv in (
+            ("classify", "--coefficients", str(bad)),
+            ("child", "--coefficient-index", "101", "--coefficients", str(bad)),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: line 1:") and err.count("\n") == 1
+
+
 class TestChild:
     def test_child_101(self, capsys, coefficients8):
         code, out, _ = run(

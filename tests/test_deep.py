@@ -5,14 +5,16 @@ reproduces the published NCD 5,888,883 and error 9.00001E-5,888,890,
 plus the level-10 jump that exposes the 4,911,098-digit coefficient,
 matches the level chain and hwm_expansion against the int oracle, and
 confirms the child at coefficient 1221. Marked deep, and excluded by
-default: level 10's full verification and the level-11 numerator, each on
-68.9 million generated digits, the level-10 coefficients computed
-through hwm_expansion, which reproduce the published generation table
-below index 4,838, and the child after HWM #9, verified through the CLI
-from the file `compute --hwm 10 --deep` writes. Run them with
-`pytest -m deep -v -s`.
+default: level 10's full verification, on 68.9 million constant digits,
+the level-10 coefficients computed through hwm_expansion, which
+reproduce the published generation table below index 4,838, the child
+after HWM #9, verified through the CLI from the file `compute --hwm 10
+--deep` writes, and one `compute --hwm 11 --deep` run, whose file must be
+the recorded one and whose numerator carries the published nine-runs.
+Run them with `pytest -m deep -v -s`.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -37,8 +39,9 @@ from champcfe.arith import digit_count, to_digits
 from champcfe.cfe import coefficient_digit_lengths
 from champcfe.cli import main
 
-# the coefficient file that `compute --hwm 10 --deep` writes
+# the coefficient files that `compute --hwm 10 --deep` and `--hwm 11` write
 LEVEL10_SHA256 = "702547412c524b410ce1a9315b16eb5429804cb1b5b1f0e29eae2377ed417013"
+LEVEL11_SHA256 = "eaebe44ce137980721d325f2a1f7d33509a535c0f2ab8f47e4739606b1954a83"
 
 
 def test_level9_full_verification():
@@ -62,7 +65,8 @@ def test_level9_chain_matches_the_int_expansion(level9, int_expansion, continuan
     want = int_expansion(9, truth)[2]
     assert expanded == want
     value = Decimal(truth.digits)
-    chain = cfe._level_chain([cfe._short_pair(m, truth, value) for m in range(4, 10)])
+    pairs = [cfe._short_pair(m, truth.last_position, value) for m in range(4, 10)]
+    chain = cfe._level_chain(pairs)
     terms, q_prev, coprime = chain
     assert [str(t) for t in terms] == [to_digits(t) for t in want]
     assert coprime
@@ -133,14 +137,33 @@ def test_level10_child_3569_through_the_cli(tmp_path, capsys):
     print("\ndeep: child at 3569 confirmed, shape 40/5399960/39/38884")
 
 
+@pytest.fixture(scope="module")
+def level11(tmp_path_factory):
+    """(coefficient file, numerator file) from one `compute --hwm 11 --deep
+    --emit-numerator` run: about 48 s at 435 MB max RSS, paid once per module."""
+    out = tmp_path_factory.mktemp("level11")
+    coefficients, numerator = out / "c11.txt", out / "num11.txt"
+    argv = ["compute", "--hwm", "11", "--deep", "--emit-numerator", "--out", str(coefficients)]
+    with open(numerator, "w") as fp, contextlib.redirect_stdout(fp):
+        assert main(argv) == 0
+    return coefficients, numerator
+
+
 @pytest.mark.deep
-def test_level11_numerator_patterns():
+def test_level11_file_is_the_recorded_one(level11):
+    assert hashlib.sha256(level11[0].read_bytes()).hexdigest() == LEVEL11_SHA256
+    print("\ndeep: compute --hwm 11 writes the recorded file")
+
+
+@pytest.mark.deep
+def test_level11_numerator_patterns(level11):
     """The 68.9M-digit numerator carries the published nine-run structure:
     a 35987 run plus a separate 165 run, and the 40000009 tail."""
     import re
 
-    truth = digits_up_to(68_888_900)
-    s = str(cfe._short_pair(11, truth, Decimal(truth.digits))[0])  # exponent 0: its digits
+    s = level11[1].read_text()
+    assert s.endswith("\n")
+    s = s[:-1]
     assert len(s) == 68_888_897
     assert s.endswith("4" + "0" * 6 + "9")
     runs = sorted((len(m.group()) for m in re.finditer(r"9+", s)), reverse=True)

@@ -1,12 +1,14 @@
 import functools
 import gc
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from champcfe import (
+    DEFAULT_DIGIT_BUDGET,
     DigitBudgetError,
     DigitLocation,
     digits_up_to,
@@ -14,6 +16,7 @@ from champcfe import (
     position_of_integer,
     position_of_power,
 )
+from champcfe.digits import _digit_window, _truth_value
 
 
 def naive_concatenation(p):
@@ -157,6 +160,58 @@ def test_generation_peak_memory_stays_near_two_bytes_per_digit():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * p
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_truth_value_and_window_around_each_block_start(width):
+    # every p within width + 2 of the first digit of 10**(width - 1), up to
+    # the 7-digit start near 5.89 M digits, against the string generator
+    start = position_of_power(width - 1)
+    truth = digits_up_to(start + width + 2).digits
+    for p in range(max(0, start - width - 2), start + width + 3):
+        v = _truth_value(p)
+        assert v.as_tuple().exponent == 0
+        assert v == Decimal(truth[: p + 1])
+        for a in range(max(0, p - 2 * width - 2), p + 2):
+            assert _digit_window(a, p) == truth[a : p + 1]
+
+
+@given(p=st.integers(min_value=0, max_value=300_000), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_truth_value_and_window_match_naive_oracle_property(p, data):
+    a = data.draw(st.integers(min_value=0, max_value=p + 1))
+    assert _truth_value(p) == Decimal(oracle()[: p + 1])
+    assert _digit_window(a, p) == oracle()[a : p + 1]
+
+
+def test_truth_value_budget_is_checked_before_any_work():
+    with pytest.raises(DigitBudgetError) as exc:
+        _truth_value(101, max_digits=100)
+    assert (exc.value.requested, exc.value.budget) == (101, 100)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DigitBudgetError):
+            _truth_value(DEFAULT_DIGIT_BUDGET + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # a start on the value would take tens of megabytes
+
+
+def test_truth_value_peak_memory_stays_under_two_bytes_per_digit():
+    # a libmpdec coefficient takes 8 bytes per 19 digits; the last join holds
+    # three of them, about 1.4 bytes per digit, where the string and its
+    # parse take 2.4
+    p = 2_000_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _truth_value(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * p
 
 
 @pytest.mark.parametrize(

@@ -11,15 +11,7 @@ import argparse
 import sys
 import time
 
-from champcfe import (
-    child_length,
-    classify,
-    digits_up_to,
-    hwm_expansion,
-    verify_child,
-    verify_hwm,
-)
-from champcfe.arith import digit_count
+from champcfe import cfe, child_length, classify, digits, verify_child, verify_hwm
 
 
 def level_summary(levels):
@@ -76,7 +68,7 @@ def child_shapes(kids):
 
 def generation_table(terms):
     print("\nGeneration classification of the level-8 coefficients")
-    lengths = [digit_count(t) for t in terms]
+    lengths = [t.adjusted() + 1 for t in terms]
     for e in classify(lengths):
         print(f"  {e.coefficient_index:>5} {e.digit_length:>9}  gen {e.generation}")
 
@@ -91,7 +83,9 @@ def main() -> int:
     profiles = level_summary(levels)
     efficiency(profiles)
 
-    terms = hwm_expansion(8, digits_up_to(80_000))[2]
+    # level 8's terms as compute writes them: exact Decimals with exponent 0
+    p = cfe.required_prefix_position(8)
+    terms = cfe._hwm_chain(8, p, digits._truth_value(p))[1]
     kids = {k: verify_child(k, terms) for k in (101, 357)}
     children(kids)
     child_shapes(kids)

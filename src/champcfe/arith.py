@@ -10,8 +10,8 @@ from __future__ import annotations
 import decimal
 import functools
 
-# plain int is the only backend; kept because benchmark results are stamped
-# with the backend read from here
+# plain int is the only backend; kept because champbench/run.py stamps its
+# results with the backend read from here
 HAVE_GMPY2 = False
 
 _LEAF = 3000  # digits converted by int()/str() directly; CPython is fast below this
@@ -27,25 +27,6 @@ EXACT = decimal.Context(
 @functools.lru_cache(maxsize=32)
 def pow10(k: int) -> int:
     return 10**k
-
-
-def digit_count(n) -> int:
-    """Exact number of decimal digits of n >= 0."""
-    if n < 0:
-        raise ValueError("digit_count expects a non-negative integer")
-    bits = n.bit_length()
-    if bits <= _LEAF_BITS:
-        return len(str(n))
-    # 10**k <= n < 10**(k+1) for k = floor(log10(2**(bits-1))) or k+1; the
-    # loops only correct the float estimate and step across the boundary
-    k = int((bits - 1) * 0.30102999566398120)
-    p = pow10(k)
-    while n < p:
-        k, p = k - 1, p // 10
-    p *= 10
-    while n >= p:
-        k, p = k + 1, p * 10
-    return k + 1
 
 
 def to_digits(n) -> str:

@@ -62,12 +62,7 @@ def cfe_extract(numerator: int, denominator: int) -> list[int]:
         raise ValueError("denominator must be positive")
     if numerator < 0:
         raise ValueError("numerator must be non-negative")
-    return _quotients(numerator, denominator)
-
-
-def _quotients(a, b) -> list:
-    """The Euclidean quotients of a/b, for ints a >= 0 < b or, under
-    arith.EXACT, integral Decimals; cfe_extract is the checked int entry."""
+    a, b = numerator, denominator
     terms = []
     while b:
         q, r = divmod(a, b)
@@ -80,7 +75,7 @@ _LEHMER_DIGITS = 38  # leading digits of a read per batch: two libmpdec words
 
 
 def _lehmer_quotients(a: Decimal, b: Decimal) -> list[Decimal]:
-    """_quotients(a, b) for integral Decimals a >= 0 < b under arith.EXACT,
+    """cfe_extract(a, b) for integral Decimals a >= 0 < b under arith.EXACT,
     in batches (Lehmer 1938; Knuth, TAOCP 4.5.2, Algorithm L).
 
     A batch reads the _LEHMER_DIGITS leading digits of a, and b at the same

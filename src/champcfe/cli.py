@@ -15,7 +15,7 @@ import time
 from decimal import Decimal
 from pathlib import Path
 
-from . import arith, cfe, digits, generations, predict, verify
+from . import cfe, digits, generations, predict, verify
 from .digits import DEFAULT_DIGIT_BUDGET, DigitBudgetError, digits_up_to
 
 ENV_BUDGET = "CHAMPCFE_MAX_DIGITS"
@@ -234,7 +234,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             }
         )
     payload = {
-        "backend": "gmpy2" if arith.HAVE_GMPY2 else "int",
+        "backend": "int",
         "python": f"{platform.python_implementation()} {platform.python_version()}",
         "levels": levels,
     }

@@ -78,6 +78,8 @@ def _residual(numerator: Decimal, denominator: Decimal, p: int, value: Decimal) 
     """num·10^p − V·den for the truncation V/10^p of the constant, where
     value is V as a Decimal: the one exact quantity that every digit-level
     observation is read from."""
+    if denominator <= 0:
+        raise ValueError("denominator must be positive")
     with localcontext(arith.EXACT):
         return numerator.scaleb(p) - value * denominator
 
@@ -100,8 +102,6 @@ def _first_failure(
     the expansion differs from truth only in a short low end: widen it until
     the carry stops inside it, and never expand the whole window.
     """
-    if denominator <= 0:
-        raise ValueError("denominator must be positive")
     if not 0 <= numerator < denominator:
         raise ValueError("value must lie in [0, 1)")
     with localcontext(arith.EXACT):

@@ -32,7 +32,7 @@ from champcfe import (
     verify_child,
     verify_hwm,
 )
-from champcfe.arith import digit_count
+from champcfe.arith import to_digits
 from champcfe.cli import main as cli_main
 
 LEVELS = (4, 5, 6, 7, 8)
@@ -126,7 +126,7 @@ def test_criterion_4_hwm_length_chain(profiles):
 
 
 def test_criterion_5_child_checks(level8):
-    lengths = [digit_count(t) for t in level8]
+    lengths = [len(to_digits(t)) for t in level8]
     entries = {e.coefficient_index: e for e in classify(lengths)}
     ok = entries[101].generation == 2 and entries[101].digit_length == 140
     ok &= entries[357].generation == 2 and entries[357].digit_length == 2468

@@ -10,26 +10,6 @@ from hypothesis import strategies as st
 from champcfe import arith
 
 
-@given(n=st.integers(min_value=0, max_value=10**40))
-@settings(max_examples=300)
-def test_digit_count_matches_str(n):
-    assert arith.digit_count(n) == len(str(n))
-
-
-def test_digit_count_at_power_boundaries():
-    # the bit-length estimate must step across each power of ten exactly
-    for k in (0, 1, 3, 5, 30, 100, 5000):
-        assert arith.pow10(k) == 10**k
-        assert arith.digit_count(10**k) == k + 1
-        assert arith.digit_count(10**k - 1) == max(1, k)
-        assert arith.digit_count(10**k + 1) == k + 1
-
-
-def test_digit_count_rejects_negative():
-    with pytest.raises(ValueError):
-        arith.digit_count(-1)
-
-
 @given(n=st.integers(min_value=0, max_value=10**60))
 @settings(max_examples=200)
 def test_digit_string_round_trip(n):
@@ -70,15 +50,14 @@ def test_conversions_across_split_sizes(size):
         assert arith.from_digits(s) == n
         assert arith.from_digits("000" + s) == n
         assert arith.to_digits(n) == s
-        assert arith.digit_count(n) == size
         assert_exact_decimal(n, s)
 
 
 @pytest.mark.parametrize("k", [1, 2, 9, 300, 2999, 3000, 3001, 3010, 3011, 6021, 10**4, 30_103])
 def test_powers_of_ten_and_neighbours(k):
+    assert arith.pow10(k) == 10**k
     for n in (10**k - 1, 10**k, 10**k + 1):
         s = str(n)
-        assert arith.digit_count(n) == len(s)
         assert arith.to_digits(n) == s
         assert arith.from_digits(s) == n
         assert_exact_decimal(n, s)
@@ -107,8 +86,6 @@ def test_exact_context_traps_rounding_and_division_by_zero():
 
 def test_powers_of_ten_at_one_hundred_thousand_digits():
     k = 10**5
-    for n in (10**k - 1, 10**k, 10**k + 1):
-        assert arith.digit_count(n) == len(str(n))
     n = 10**k + 1
     assert arith.to_digits(n) == "1" + "0" * (k - 1) + "1"
     assert arith.from_digits("9" * k) == 10**k - 1
@@ -127,7 +104,6 @@ def test_conversions_leave_no_reference_cycles():
 def test_random_conversions_match_int_and_str(bits, seed):
     n = random.Random(seed).getrandbits(bits)
     s = str(n)
-    assert arith.digit_count(n) == len(s)
     assert arith.to_digits(n) == s
     assert arith.from_digits(s) == n
 

@@ -275,7 +275,7 @@ def test_lehmer_quotients_match_plain_euclid(pair):
     a, b = pair
     with localcontext(arith.EXACT):
         got = cfe._lehmer_quotients(Decimal(a), Decimal(b))
-    assert [str(q) for q in got] == [str(q) for q in cfe._quotients(a, b)]
+    assert [str(q) for q in got] == [str(q) for q in cfe_extract(a, b)]
 
 
 def test_lehmer_quotients_on_short_form_and_long_operands():
@@ -287,7 +287,7 @@ def test_lehmer_quotients_on_short_form_and_long_operands():
         b10 = b * 10**40
         with localcontext(arith.EXACT):
             got = cfe._lehmer_quotients(Decimal(a), Decimal(b).scaleb(40))
-        assert [str(q) for q in got] == [str(q) for q in cfe._quotients(a, b10)]
+        assert [str(q) for q in got] == [str(q) for q in cfe_extract(a, b10)]
 
 
 def hwm_split(terms):

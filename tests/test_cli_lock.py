@@ -100,7 +100,7 @@ def test_compute_and_child_convert_no_long_operand(monkeypatch, capsys, tmp_path
 
         return guarded
 
-    for name in ("from_digits", "to_digits", "to_decimal", "digit_count"):
+    for name in ("from_digits", "to_digits", "to_decimal"):
         monkeypatch.setattr(arith, name, leaf_only(name))
     out = tmp_path / "c8.txt"
     compute = "compute --hwm 8 --out {out} --emit-numerator"

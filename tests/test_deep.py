@@ -35,7 +35,7 @@ from champcfe import (
     write_coefficients,
 )
 from champcfe import cfe
-from champcfe.arith import digit_count, to_digits
+from champcfe.arith import to_digits
 from champcfe.cfe import coefficient_digit_lengths
 from champcfe.cli import main
 
@@ -80,7 +80,7 @@ def test_level9_child_1221(level9):
     assert str(child.error_observed.round_to(5)) == "-8.9992E-938890"
     assert child.denominator_shape.lengths() == (33, 449967, 32, 2885)
     assert child.child_length == 33056
-    assert digit_count(terms[1221]) == 33056
+    assert len(to_digits(terms[1221])) == 33056
     print("\ndeep: child at 1221 confirmed, shape 33/449967/32/2885")
 
 

@@ -10,7 +10,7 @@ from champcfe import (
     classify,
     find_hwms,
 )
-from champcfe.arith import digit_count
+from champcfe.arith import to_digits
 from champcfe.generations import _threshold_for, hwm_numbers
 
 DATA = Path(__file__).parent / "data"
@@ -36,7 +36,7 @@ def synthetic_lengths():
 
 class TestFindHwms:
     def test_first_163_coefficients(self, level8_terms):
-        lengths = [digit_count(t) for t in level8_terms[:163]]
+        lengths = [len(to_digits(t)) for t in level8_terms[:163]]
         entries = find_hwms(lengths)
         assert [e.coefficient_index for e in entries] == [0, 4, 18, 40, 162]
         assert [e.digit_length for e in entries] == [1, 6, 166, 2504, 33102]
@@ -80,7 +80,7 @@ class TestThresholds:
 
 class TestClassify:
     def test_level8_real_data(self, level8_terms):
-        lengths = [digit_count(t) for t in level8_terms]
+        lengths = [len(to_digits(t)) for t in level8_terms]
         entries = classify(lengths)
         by_index = {e.coefficient_index: e for e in entries}
         assert by_index[101].generation == 2 and by_index[101].digit_length == 140
@@ -89,13 +89,13 @@ class TestClassify:
         assert by_index[459].generation == 3 and by_index[459].digit_length == 136
 
     def test_output_is_in_index_order(self, level8_terms):
-        lengths = [digit_count(t) for t in level8_terms]
+        lengths = [len(to_digits(t)) for t in level8_terms]
         entries = classify(lengths)
         indices = [e.coefficient_index for e in entries]
         assert indices == sorted(indices)
 
     def test_generation_one_equals_find_hwms(self, level8_terms):
-        lengths = [digit_count(t) for t in level8_terms]
+        lengths = [len(to_digits(t)) for t in level8_terms]
         entries = classify(lengths)
         assert [e for e in entries if e.generation == 1] == find_hwms(lengths)
 
@@ -117,7 +117,7 @@ class TestClassify:
             classify(lengths)
 
     def test_anchor_exact_match_required(self, level8_terms):
-        lengths = [digit_count(t) for t in level8_terms]
+        lengths = [len(to_digits(t)) for t in level8_terms]
         entries = classify(lengths)
         from champcfe import child_length
 

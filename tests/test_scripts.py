@@ -1,18 +1,37 @@
+import csv
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_reproduce_tables_confirms_every_row():
+@pytest.fixture(scope="module")
+def reproduce_tables():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "reproduce_tables.py")],
         env=env, capture_output=True, text=True,
     )
+
+
+def test_reproduce_tables_confirms_every_row(reproduce_tables):
+    proc = reproduce_tables
     assert proc.returncode == 0, proc.stderr
     statuses = [line.split()[-1] for line in proc.stdout.splitlines() if line.strip()]
     assert statuses.count("confirmed") == 7  # levels 4-8, children 101 and 357
     assert "violation" not in proc.stdout
+
+
+def test_reproduce_tables_generation_rows_match_the_published_table(reproduce_tables):
+    # the level-8 expansion ends before HWM #8 at index 526: the seeds and
+    # every published row below it
+    section = reproduce_tables.stdout.split("Generation classification")[1]
+    lines = section.split("\n\n")[0].splitlines()[1:]
+    rows = [(int(i), int(length), int(g)) for i, length, _, g in map(str.split, lines)]
+    with open(ROOT / "tests" / "data" / "generation_table.csv") as fp:
+        published = [tuple(map(int, r.values())) for r in csv.DictReader(fp)]
+    assert rows == [(0, 1, 1), (4, 6, 1)] + [r for r in published if r[0] < 526]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from decimal import Decimal, Inexact, Rounded, localcontext
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,15 @@ class TestMeasureError:
         else:
             pytest.fail("requirement did not converge")
         assert str(err.round_to(2)) == "9.1E-190"
+
+
+@pytest.mark.parametrize(
+    "measure", [measure_ncd, partial(measure_error, mantissa_digits=3)], ids=["ncd", "error"]
+)
+@pytest.mark.parametrize("den", [0, -3])
+def test_measurements_reject_a_denominator_below_one(measure, den):
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        measure(1, den, digits_up_to(200))
 
 
 class TestVerifyHwm:

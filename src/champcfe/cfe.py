@@ -137,21 +137,13 @@ def _hwm_chain(n: int, p: int, value: Decimal) -> tuple[Decimal, list[Decimal]]:
     return top[0], _level_chain(pairs)[0]
 
 
-def _odd_index_split(terms: list) -> list:
-    """terms, ending on an odd index: an odd-length list ends Y-1, 1 in place
-    of Y, the same value. Decimal terms need arith.EXACT for Y-1."""
-    if len(terms) % 2:
-        y = terms[-1]
-        terms[-1:] = [y - 1, type(y)(1)]
-    return terms
-
-
 def convergent_from_coefficients(terms: Sequence[int]) -> Fraction:
     """Rebuild the rational from coefficients as K(terms) / K(terms[1:]);
     inverse of cfe_extract on canonical lists."""
     if not terms:
         raise ValueError("empty coefficient list")
-    return Fraction(*_convergent(terms))
+    _check_terms(terms)
+    return Fraction(*_continuant(terms[::-1]))
 
 
 # a run of terms below _WORD is held in a 2x2 matrix of Python ints while
@@ -164,31 +156,21 @@ def _check_terms(seq: Sequence) -> None:
         raise ValueError("coefficients after the first must be >= 1")
 
 
-def _continuant(seq: Sequence[int]) -> tuple[int, int]:
+def _continuant(seq: Sequence) -> tuple:
     """(K(seq), K(seq[:-1])) for the continuant K(x1..xm) = xm*K(x1..xm-1)
     + K(x1..xm-2), K() = 1, with 0 in second place for an empty seq (Knuth,
-    TAOCP 4.5.3). a0..ak converges to K(a0..ak) / K(a1..ak), in lowest terms."""
-    _check_terms(seq)
-    return _batched_continuant(seq)
+    TAOCP 4.5.3). With every term after a0 >= 1, a0..ak converges to
+    K(a0..ak) / K(a1..ak) in lowest terms, and as K(s) = K(reversed s), one
+    pass over the terms reversed gives both. No term is checked: terms from
+    outside the program go through _check_terms first.
 
-
-def _convergent(terms: Sequence[int]) -> tuple[int, int]:
-    """(K(terms), K(terms[1:])), the convergent of terms in lowest terms, in
-    one pass: K(s) = K(reversed s), so the pass over terms reversed ends on
-    both. The check runs first, as the first term, which may be 0, comes
-    last in reversed order."""
-    _check_terms(terms)
-    return _batched_continuant(terms[::-1])
-
-
-def _batched_continuant(seq: Sequence) -> tuple:
-    """_continuant without the check, for ints or integral Decimals (then
-    under arith.EXACT). A run of terms below _WORD goes into the matrix
-    m = [[m00, m01], [m10, m11]] of Python ints, which is applied to
-    (k, k_prev) by four one-word multiplies before a longer term, before
-    an entry would reach _WORD, and at the end: the plain recurrence pays
-    a multiply by a long k per term. k is of the terms' type, so Decimal
-    terms give Decimals with exponent 0 however short the run."""
+    seq holds ints or integral Decimals (then under arith.EXACT). A run of
+    terms below _WORD goes into the matrix m = [[m00, m01], [m10, m11]] of
+    Python ints, which is applied to (k, k_prev) by four one-word multiplies
+    before a longer term, before an entry would reach _WORD, and at the end:
+    the plain recurrence pays a multiply by a long k per term. k is of the
+    terms' type, so Decimal terms give Decimals with exponent 0 however
+    short the run."""
     zero = type(seq[0])(0) if seq else 0
     k, k_prev = zero + 1, zero
     m00, m01, m10, m11 = 1, 0, 0, 1
@@ -288,7 +270,9 @@ def _extend(
     division, in which b stays short and the long HWM term enters no product.
     """
     with localcontext(arith.EXACT):
-        tail = _odd_index_split(_lehmer_quotients(x, y))
+        tail = _lehmer_quotients(x, y)
+        if len(tail) % 2:  # end on an odd index: Y-1, 1 in place of Y
+            tail[-1:] = [tail[-1] - 1, Decimal(1)]
         r00, r01 = _continuant(tail[1:])
         g = arith._exact_quotient(y, r00)
         q_prev = arith._exact_quotient(b * r01 - g * q, y)

@@ -402,7 +402,8 @@ def verify_child(
     p_len = predict.child_length(m - 1)
 
     with localcontext(arith.EXACT):
-        num, den = cfe._convergent(head[:k])
+        cfe._check_terms(head[:k])
+        num, den = cfe._continuant(head[:k][::-1])
 
     exp = -p_err.exponent
     need = exp + len(p_err.digits) + 1 + GUARD_DIGITS

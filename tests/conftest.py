@@ -2,7 +2,8 @@
 level-9 coefficients as the program computes them (hwm_expansion, on the
 level chain), int_expansion, the oracle for that path: plain int Euclid
 run from the start, which no program code runs any more, and continuant,
-the plain recurrence that the program's batched continuant must match."""
+the plain recurrence that the program's one continuant, cfe._continuant,
+must match."""
 
 import sys
 
@@ -76,6 +77,7 @@ def _plain_continuant(seq):
 
 @pytest.fixture(scope="session")
 def continuant():
-    """The oracle for cfe._continuant and every q, q_prev and R00 taken from
-    it: the plain recurrence, on ints or, inside arith.EXACT, Decimals."""
+    """The oracle for cfe._continuant, the program's only continuant, and
+    every q, q_prev and R00 taken from it: the plain recurrence, on ints
+    or, inside arith.EXACT, Decimals."""
     return _plain_continuant

@@ -287,9 +287,12 @@ class TestChild:
         assert profile["status"] == "confirmed"
         assert profile["denominator_shape"]["preamble"] == "3384585496849525154"
 
-    def test_zero_past_the_first_term_is_an_error(self, capsys, tmp_path, coefficients8):
+    @pytest.mark.parametrize("index", [50, 100])
+    def test_zero_past_the_first_term_is_an_error(self, capsys, tmp_path, coefficients8, index):
+        # index 100 is the last term of child 101's convergent, which the
+        # reversed pass meets first
         terms = coefficients8.read_text().split("\n")
-        terms[50] = "0"
+        terms[index] = "0"
         bad = tmp_path / "zero.txt"
         bad.write_text("\n".join(terms))
         code, out, err = run(

@@ -7,10 +7,13 @@ matches the level chain and hwm_expansion against the int oracle, and
 confirms the child at coefficient 1221. Marked deep, and excluded by
 default: level 10's full verification, on 68.9 million constant digits,
 the level-10 coefficients computed through hwm_expansion, which
-reproduce the published generation table below index 4,838, the child
-after HWM #9, verified through the CLI from the file `compute --hwm 10
---deep` writes, and one `compute --hwm 11 --deep` run, whose file must be
-the recorded one and whose numerator carries the published nine-runs.
+reproduce the published generation table below index 4,838, the file
+`compute --hwm 10 --deep` writes, certified by its continuants to be the
+expansion of the predicted pair and then read back to verify the child
+after HWM #9 through the CLI, and one `compute --hwm 11 --deep` run,
+whose file must be the recorded one, whose lengths reproduce the
+published generation table below index 13,522, and whose numerator
+carries the published nine-runs.
 Run them with `pytest -m deep -v -s`.
 """
 
@@ -19,7 +22,7 @@ import csv
 import hashlib
 import io
 import json
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -35,9 +38,10 @@ from champcfe import (
     write_coefficients,
 )
 from champcfe import cfe
-from champcfe.arith import to_digits
+from champcfe.arith import EXACT, to_digits
 from champcfe.cfe import coefficient_digit_lengths
 from champcfe.cli import main
+from champcfe.predict import denominator_sci
 
 # the coefficient files that `compute --hwm 10 --deep` and `--hwm 11` write
 LEVEL10_SHA256 = "702547412c524b410ce1a9315b16eb5429804cb1b5b1f0e29eae2377ed417013"
@@ -116,11 +120,28 @@ def test_level10_coefficients_reproduce_the_generation_table():
 
 @pytest.mark.deep
 def test_level10_child_3569_through_the_cli(tmp_path, capsys):
-    """The child after HWM #9, read back from the coefficient file: the file
-    holds the chain's digit strings, and child computes on Decimals."""
+    """The level-10 file's certificate, then the child after HWM #9, read
+    back from that file: the file holds the chain's digit strings, and
+    child computes on Decimals.
+
+    With every term after the first >= 1, K(terms) = numerator and
+    K(terms[1:]) = the predicted denominator prove, without Euclid, that
+    the file expands numerator/denominator in lowest terms (the two
+    continuants are coprime), and its even length that it is the
+    odd-index expansion."""
     path = tmp_path / "c10.txt"
-    assert main(["compute", "--hwm", "10", "--deep", "--out", str(path)]) == 0
+    argv = ["compute", "--hwm", "10", "--deep", "--emit-numerator", "--out", str(path)]
+    assert main(argv) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == LEVEL10_SHA256
+    terms = [Decimal(s) for s in path.read_text().splitlines()]
+    numerator = Decimal(capsys.readouterr().out.rstrip("\n"))
+    sci = denominator_sci(10)
+    assert len(terms) % 2 == 0
+    assert all(t >= 1 for t in terms[1:])
+    with localcontext(EXACT):
+        # short form: Decimal(int) of the 5.9M-digit denominator is quadratic
+        denominator = Decimal(sci.digits).scaleb(sci.exponent - (len(sci.digits) - 1))
+        assert cfe._continuant(terms[::-1]) == (numerator, denominator)
     argv = ["child", "--coefficient-index", "3569", "--coefficients", str(path)]
     assert main(argv + ["--format", "json"]) == 0
     p = json.loads(capsys.readouterr().out)
@@ -153,6 +174,23 @@ def level11(tmp_path_factory):
 def test_level11_file_is_the_recorded_one(level11):
     assert hashlib.sha256(level11[0].read_bytes()).hexdigest() == LEVEL11_SHA256
     print("\ndeep: compute --hwm 11 writes the recorded file")
+
+
+@pytest.mark.deep
+def test_level11_lengths_reproduce_the_generation_table(level11):
+    """The 13,522 level-11 coefficient lengths, read off the file, classify
+    into every published row below index 13,522."""
+    with open(level11[0]) as fp:
+        lengths = coefficient_digit_lengths(fp)
+    assert len(lengths) == 13_522
+    by_index = {e.coefficient_index: e for e in classify(lengths)}
+    with open(Path(__file__).parent / "data" / "generation_table.csv") as fp:
+        rows = [r for r in csv.DictReader(fp) if int(r["index"]) < len(lengths)]
+    assert len(rows) == 31
+    for r in rows:
+        e = by_index[int(r["index"])]
+        assert (e.digit_length, e.generation) == (int(r["length"]), int(r["generation"]))
+    print("\ndeep: level 11 coefficients reproduce the 31 generation-table rows")
 
 
 @pytest.mark.deep

@@ -270,8 +270,8 @@ class TestVerifyChild:
         else:
             terms = request.getfixturevalue("level9")[1]
         seen = []
-        real = cfe._convergent
-        monkeypatch.setattr(cfe, "_convergent", lambda s: seen.append(real(s)) or seen[-1])
+        real = cfe._continuant
+        monkeypatch.setattr(cfe, "_continuant", lambda s: seen.append(real(s)) or seen[-1])
         assert verify_child(k, terms).status == CONFIRMED
         num, den = (arith.to_digits(continuant(s)[0]) for s in (terms[:k], terms[1:k]))
         assert [tuple(map(str, pair)) for pair in seen] == [(num, den)]

@@ -8,7 +8,7 @@ the slow digit-truncation method kept as an efficiency baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_FLOOR, Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
@@ -51,8 +51,10 @@ def _numerator(n: int, v: Decimal) -> Decimal:
     if n == 4:  # den*v / (2*10^p)
         q, r = divmod(predict.denominator(4) * v, 2 * 10 ** required_prefix_position(4))
         return 2 * (q + (r > 0))
-    q, r = divmod(int(predict.denominator_sci(n).digits) * v, 10 ** (n - 2))
-    return q + (r > 0)  # the ceiling, as v >= 0
+    # m*v / 10^(n-2) with the shift in the short factor, so no long operand
+    # is copied; its exact ceiling, as _short_pair takes its floor
+    x = Decimal(predict.denominator_sci(n).digits).scaleb(2 - n) * v
+    return x.to_integral_value(ROUND_CEILING)
 
 
 def cfe_extract(numerator: int, denominator: int) -> list[int]:
@@ -363,15 +365,28 @@ def _write_lines(digit_strings: Iterable[str], fp: IO[str]) -> None:
 
 def _coefficient_lines(fp: IO[str]) -> list[str]:
     """The lines of a coefficient file, each checked to be ASCII [0-9]+ with
-    no leading zero except in 0 itself."""
-    lines = []
-    for lineno, line in enumerate(fp):
-        s = line.rstrip("\n")
-        if not (s.isascii() and s.isdigit()) or (s[0] == "0" and len(s) > 1):
-            raise ValueError(f"line {lineno + 1}: not a decimal coefficient: {s!r}")
-        lines.append(s)
+    no leading zero except in 0 itself: one read, split on LF, so a CR stays
+    in its line and fails it."""
+    text = fp.read()
+    # before the split, so that the bytes copy is gone before the lines exist
+    plain = text.isascii() and not text.encode().translate(None, b"0123456789\n")
+    lines = text.split("\n")
+    if not lines[-1]:  # the LF that ends the last line, or an empty file
+        lines.pop()
     if not lines:
         raise ValueError("empty coefficient file")
+    # a file of ASCII digits and LFs passes at C speed where every line but a
+    # first-line 0 sorts at or above "1": none is empty, none is led by 0;
+    # any other file, a 0 past the first line too, goes line by line
+    if not (
+        plain
+        and min(lines[1:], default="1") >= "1"
+        and (lines[0] == "0" or lines[0] >= "1")
+    ):
+        for lineno, s in enumerate(lines):
+            if not (s.isascii() and s.isdigit()) or (s[0] == "0" and len(s) > 1):
+                s = s[: s.find("\r") + 1] or s  # as a newline="" stream ends it, at a bare CR
+                raise ValueError(f"line {lineno + 1}: not a decimal coefficient: {s!r}")
     return lines
 
 

@@ -189,11 +189,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_child(args: argparse.Namespace) -> int:
+    k = args.coefficient_index
     with open(args.coefficients, newline="") as fp:
-        terms = [Decimal(s) for s in cfe._coefficient_lines(fp)]  # exact in any context
-    profile = verify.verify_child(
-        args.coefficient_index, terms, max_digits=args.max_digits
-    )
+        # verify_child reads terms 0..k only, and no line outlives this list
+        terms = [Decimal(s) for s in cfe._coefficient_lines(fp)[: k + 1]]  # exact in any context
+    profile = verify.verify_child(k, terms, max_digits=args.max_digits)
     return _emit_profile(profile, args)
 
 

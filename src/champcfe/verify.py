@@ -74,14 +74,24 @@ def _jsonable(value):
     return value
 
 
-def _residual(numerator: Decimal, denominator: Decimal, p: int, value: Decimal) -> Decimal:
+def _residual(numerator: Decimal, parts: Sequence[Decimal], p: int, value: Decimal) -> Decimal:
     """num·10^p − V·den for the truncation V/10^p of the constant, where
     value is V as a Decimal: the one exact quantity that every digit-level
-    observation is read from."""
+    observation is read from. parts are exact Decimals whose sum is den,
+    [den] itself or _denominator_blocks in short form, so that each
+    product with V costs only the digits of its part."""
+    with localcontext(arith.EXACT):
+        diff = numerator.scaleb(p)
+        for part in parts:
+            diff -= value * part
+    return diff
+
+
+def _decimal_pair(numerator: int, denominator: int) -> tuple[Decimal, Decimal]:
+    """A caller's convergent as exact Decimals, its denominator checked."""
     if denominator <= 0:
         raise ValueError("denominator must be positive")
-    with localcontext(arith.EXACT):
-        return numerator.scaleb(p) - value * denominator
+    return arith.to_decimal(numerator), arith.to_decimal(denominator)
 
 
 def _first_failure(
@@ -133,9 +143,9 @@ def measure_ncd(
 ) -> tuple[int, DigitLocation]:
     """Number of correct digits (the position of the first wrong one,
     counting the leading '0') and where that digit lives."""
-    num, den = arith.to_decimal(numerator), arith.to_decimal(denominator)
+    num, den = _decimal_pair(numerator, denominator)
     p = truth.last_position
-    diff = _residual(num, den, p, Decimal(truth.digits))
+    diff = _residual(num, [den], p, Decimal(truth.digits))
     found = _first_failure(num, den, p, lambda a: truth.digits[a:], diff)
     if found is None:
         raise InsufficientTruthError(
@@ -163,8 +173,8 @@ def measure_error(
     """
     if mantissa_digits < 1:
         raise ValueError("mantissa_digits must be >= 1")
-    num, den = arith.to_decimal(numerator), arith.to_decimal(denominator)
-    diff = _residual(num, den, truth.last_position, Decimal(truth.digits))
+    num, den = _decimal_pair(numerator, denominator)
+    diff = _residual(num, [den], truth.last_position, Decimal(truth.digits))
     return _error(diff, den, truth.last_position, mantissa_digits)
 
 
@@ -279,7 +289,7 @@ def verify_hwm(
     k = len(terms)
     total_digits = sum(t.adjusted() + 1 for t in terms)
 
-    diff = _residual(num, den, p, value)
+    diff = _residual(num, [den], p, value)
     found = _first_failure(num, den, p, partial(digits._digit_window, p=p), diff, len(p_tail))
     if found is None:
         raise InsufficientTruthError(
@@ -343,6 +353,20 @@ def verify_hwm(
     )
 
 
+def _denominator_blocks(shape: predict.DenominatorShape) -> list[Decimal]:
+    """The denominator of the given shape as short-form parts whose sum it
+    is: ((A+1)·10^(n+l) − 10^l + B)·10^z for the preamble A, n nines, the
+    l-digit penultimate B and z zeroes, as A then n nines is (A+1)·10^n − 1.
+    V times each part is a short-by-long multiply; an empty block is 0."""
+    l, z = len(shape.penultimate), shape.zeroes_count
+    with localcontext(arith.EXACT):
+        return [
+            (Decimal(shape.preamble or 0) + 1).scaleb(shape.nines_count + l + z),
+            Decimal(-1).scaleb(l + z),
+            Decimal(shape.penultimate or 0).scaleb(z),
+        ]
+
+
 @dataclass
 class ChildProfile(_Profile):
     """Observations for the convergent truncated before a child (2nd
@@ -374,7 +398,8 @@ def verify_child(
     """Verify the convergent truncated immediately before the coefficient at
     coefficient_index, treating it as a child HWM: measure its error and
     failing digit, split its denominator into preamble / nines /
-    penultimate / zeroes, and score everything against the predictors.
+    penultimate / zeroes, and score everything against the predictors. The
+    residual takes V·den from those blocks, not from the whole denominator.
 
     terms are ints or integral Decimals, such as Decimal of a coefficient
     file's lines; the arithmetic runs on exact Decimals either way.
@@ -408,15 +433,15 @@ def verify_child(
     exp = -p_err.exponent
     need = exp + len(p_err.digits) + 1 + GUARD_DIGITS
     value = digits._truth_value(need, max_digits)
+    shape = predict.parse_denominator_shape(str(den))  # exponent 0: its digits
 
-    diff = _residual(num, den, need, value)
+    diff = _residual(num, _denominator_blocks(shape), need, value)
     err_obs = _error(diff, den, need, len(p_err.digits) + 1)
     found = _first_failure(num, den, need, partial(digits._digit_window, p=need), diff)
     if found is None or found[0] > exp + 32:
         raise InsufficientTruthError(required=exp + 34)
     pos, loc, fails_as, _ = found
 
-    shape = predict.parse_denominator_shape(str(den))  # exponent 0: its digits
     parity = "odd" if predict.parity_consistent(k, generation=2) else "even"
     checks = [
         _check("error", p_err, err_obs.round_to(len(p_err.digits))),

@@ -71,6 +71,24 @@ class TestNumerator:
             if n <= 8:
                 assert denominator(n) == int(sci.digits) * 10 ** (p + 2 - n)
 
+    @given(
+        n=st.integers(5, 14),
+        c=st.integers(0, 10**40),
+        nudge=st.sampled_from([-1, 0, 1]),
+        multiple=st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_shifted_ceiling_matches_divmod(self, n, c, nudge, multiple):
+        # the numerator from level 5 on is ceil(m*v / 10**(n - 2)); with
+        # multiple, v makes m*v an exact multiple of 10**(n - 2), give or take one
+        m, scale = int(denominator_sci(n).digits), 10 ** (n - 2)
+        v = c * (scale // math.gcd(m, scale)) if multiple else c
+        v = max(v + nudge, 0)
+        q, r = divmod(m * v, scale)
+        with localcontext(arith.EXACT):
+            got = cfe._numerator(n, Decimal(v))
+        assert str(got) == str(q + (r > 0))
+
     def test_required_positions_match_published_digit_counts(self):
         # digit counts include the leading '0', hence the +1
         assert [required_prefix_position(n) + 1 for n in (4, 5, 6, 7, 8)] == [
@@ -570,3 +588,30 @@ class TestCoefficientFiles:
     def test_zero_is_a_coefficient(self):
         assert read_coefficients(io.StringIO("0\n10\n")) == [0, 10]
         assert coefficient_digit_lengths(io.StringIO("0\n10\n")) == [1, 2]
+
+    @given(
+        lines=st.lists(st.text("0019", max_size=3) | st.text("019\r +٣", max_size=3), max_size=5),
+        end=st.sampled_from(["", "\n", "\n\n", "\r\n"]),
+    )
+    @settings(max_examples=500)
+    def test_one_read_matches_the_line_by_line_reader(self, lines, end):
+        # the oracle iterates a newline="" stream, as classify and child open
+        # their file, which ends a line at LF, CRLF or a bare CR
+        def line_by_line(fp):
+            read = []
+            for lineno, line in enumerate(fp):
+                s = line.rstrip("\n")
+                if not (s.isascii() and s.isdigit()) or (s[0] == "0" and len(s) > 1):
+                    raise ValueError(f"line {lineno + 1}: not a decimal coefficient: {s!r}")
+                read.append(s)
+            if not read:
+                raise ValueError("empty coefficient file")
+            return read
+
+        def outcome(reader):
+            try:
+                return reader(io.StringIO("\n".join(lines) + end, newline=""))
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(cfe._coefficient_lines) == outcome(line_by_line)

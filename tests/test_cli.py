@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from champcfe import predict, verify
+from champcfe import cfe, predict, verify
 from champcfe.cli import main
 
 
@@ -268,6 +268,48 @@ class TestClassify:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, "")
             assert err.startswith("error: line 1:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("", "empty coefficient file"),
+            ("\n", "line 1: not a decimal coefficient: ''"),
+            ("12\n5", ["12", "5"]),
+            ("12\r\n5\r\n", "line 1: not a decimal coefficient: '12\\r'"),
+            ("12\r5\n", "line 1: not a decimal coefficient: '12\\r'"),
+            ("12\n\n5\n", "line 2: not a decimal coefficient: ''"),
+            ("12\n5\n\n", "line 3: not a decimal coefficient: ''"),
+            ("12\n01\n", "line 2: not a decimal coefficient: '01'"),
+            ("12\n0\n", ["12", "0"]),
+            ("12\n+1\n", "line 2: not a decimal coefficient: '+1'"),
+            ("12\n \n", "line 2: not a decimal coefficient: ' '"),
+            ("12\n١\n", "line 2: not a decimal coefficient: '١'"),
+        ],
+        ids=[
+            "empty", "lone-lf", "no-final-lf", "crlf", "bare-cr", "blank-middle",
+            "lf-lf-end", "leading-zero", "zero", "plus", "space", "arabic-indic-one",
+        ],
+    )
+    def test_file_grammar_is_pinned(self, capsys, tmp_path, text, want):
+        # the lines, or the one error line, that the reader and both commands give
+        path = tmp_path / "c.txt"
+        path.write_bytes(text.encode())
+        with open(path, newline="") as fp:  # as classify and child open it
+            if isinstance(want, list):
+                assert cfe._coefficient_lines(fp) == want
+            else:
+                with pytest.raises(ValueError) as exc:
+                    cfe._coefficient_lines(fp)
+                assert str(exc.value) == want
+        # a well-formed file of two short terms holds no child to verify
+        valid = isinstance(want, list)
+        err = "" if valid else f"error: {want}\n"
+        code, _, got = run(capsys, "classify", "--coefficients", str(path))
+        assert (code, got) == (0 if valid else 1, err)
+        code, _, got = run(capsys, "child", "--coefficient-index", "1", "--coefficients", str(path))
+        if valid:
+            err = "error: no first-generation maximum precedes the index\n"
+        assert (code, got) == (1, err)
 
 
 class TestChild:

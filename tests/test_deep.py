@@ -12,8 +12,9 @@ reproduce the published generation table below index 4,838, the file
 expansion of the predicted pair and then read back to verify the child
 after HWM #9 through the CLI, and one `compute --hwm 11 --deep` run,
 whose file must be the recorded one, whose lengths reproduce the
-published generation table below index 13,522, and whose numerator
-carries the published nine-runs.
+published generation table below index 13,522, whose numerator
+carries the published nine-runs, and which, read back, verifies the
+child after HWM #10 through the CLI.
 Run them with `pytest -m deep -v -s`.
 """
 
@@ -208,3 +209,28 @@ def test_level11_numerator_patterns(level11):
     assert runs[0] == 35987
     assert runs[1] == 165
     print("\ndeep: level 11 numerator has nine-runs 35987 and 165, tail 40000009")
+
+
+@pytest.mark.deep
+def test_level11_child_9827_through_the_cli(level11, capsys):
+    """The child after HWM #10, read back from the level-11 file: a
+    63,488,929-digit denominator checked against 131.9 M truth digits,
+    past the default budget."""
+    argv = ["--max-digits", "200000000", "child", "--coefficient-index", "9827"]
+    assert main(argv + ["--coefficients", str(level11[0]), "--format", "json"]) == 0
+    p = json.loads(capsys.readouterr().out)
+    assert p["status"] == "confirmed"
+    assert p["follows_hwm"] == 10
+    assert p["error_observed"] == "-8.9999920E-131888890"
+    assert p["error_predicted"] == "-8.999992E-131888890"
+    assert p["observed_ncd"] == 131_888_889
+    assert p["first_fail"] == {"integer": 17_874_999, "digit_ordinal": 8}
+    assert p["fails_as"] == 17_874_998
+    shape = p["denominator_shape"]
+    lengths = (len(shape["preamble"]), shape["nines_count"])
+    lengths += (len(shape["penultimate"]), shape["zeroes_count"])
+    assert lengths == (47, 62_999_953, 46, 488_883)
+    assert shape["total_length"] == 63_488_929
+    assert p["shape_lengths_predicted"] == list(lengths)
+    assert p["child_length"] == p["child_length_predicted"] == 4_911_032
+    print("\ndeep: child at 9827 confirmed, shape 47/62999953/46/488883")

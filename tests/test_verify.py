@@ -7,6 +7,8 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from champcfe import (
     CONFIRMED,
@@ -27,8 +29,9 @@ from champcfe import (
     verify_child,
     verify_hwm,
 )
-from champcfe import arith, cfe, cli
+from champcfe import arith, cfe, cli, verify
 from champcfe.arith import first_difference
+from champcfe.predict import DenominatorShape, parse_denominator_shape
 
 HWM5 = (60_499_999_499, 490_050_000_000)
 
@@ -503,6 +506,31 @@ class TestResidualObservations:
         for num, den in cases:
             pos, loc, *_ = expanded_observations(num, den, truth, 189, 0, 3)
             assert measure_ncd(num, den, truth) == (pos, loc)
+
+    @given(
+        preamble=st.text("0123456789", max_size=30),
+        nines=st.integers(1, 25),
+        penultimate=st.text("0123456789", max_size=30),
+        zeroes=st.integers(0, 12),
+        num=st.integers(0, 10**70),
+        p=st.integers(0, 40),
+        value=st.integers(0, 10**60),
+    )
+    @settings(max_examples=300)
+    def test_residual_from_the_denominator_blocks(
+        self, preamble, nines, penultimate, zeroes, num, p, value
+    ):
+        # verify_child forms V·den from the blocks of the shape it parses;
+        # the oracle is the plain product, for drawn and for parsed shapes
+        digits = preamble + "9" * nines + penultimate + "0" * zeroes
+        drawn = DenominatorShape(preamble, nines, penultimate, zeroes)
+        num, value, den = Decimal(num), Decimal(value), Decimal(digits)
+        for shape in (drawn, parse_denominator_shape(digits)):
+            blocks = verify._denominator_blocks(shape)
+            with localcontext(arith.EXACT):
+                assert sum(blocks) == den
+                want = num.scaleb(p) - value * den
+            assert verify._residual(num, blocks, p, value) == want
 
 
 def verify_hwm_truth_length(n):

@@ -85,7 +85,7 @@ def main() -> int:
 
     # level 8's terms as compute writes them: exact Decimals with exponent 0
     p = cfe.required_prefix_position(8)
-    terms = cfe._hwm_chain(8, p, digits._truth_value(p))[1]
+    _, terms, _, _ = cfe._hwm_chain(8, p, digits._truth_value(p))
     kids = {k: verify_child(k, terms) for k in (101, 357)}
     children(kids)
     child_shapes(kids)

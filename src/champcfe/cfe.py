@@ -37,24 +37,9 @@ def required_prefix_position(n: int) -> int:
 
 def numerator_for_hwm(n: int, prefix: DigitPrefix) -> int:
     """Numerator as the ceiling of denominator * prefix value, on exactly the
-    required digits. From n = 5 on the denominator is a short mantissa times
-    10**(p + 2 - n), so this is the ceiling of mantissa * v / 10**(n - 2).
-    For n = 4 the half-scale identity applies: ceil(40.5 * 0.1) = 5, then
-    doubled back to 10 over the true denominator predict.denominator(4)."""
+    required digits, at half scale for n = 4: _short_pair's numerator."""
     pair = _short_pair(n, prefix.last_position, Decimal(prefix.digits))
     return arith.from_digits(str(pair[0]))
-
-
-def _numerator(n: int, v: Decimal) -> Decimal:
-    """numerator_for_hwm from the value v of the required digits, an exact
-    Decimal under arith.EXACT."""
-    if n == 4:  # den*v / (2*10^p)
-        q, r = divmod(predict.denominator(4) * v, 2 * 10 ** required_prefix_position(4))
-        return 2 * (q + (r > 0))
-    # m*v / 10^(n-2) with the shift in the short factor, so no long operand
-    # is copied; its exact ceiling, as _short_pair takes its floor
-    x = Decimal(predict.denominator_sci(n).digits).scaleb(2 - n) * v
-    return x.to_integral_value(ROUND_CEILING)
 
 
 def cfe_extract(numerator: int, denominator: int) -> list[int]:
@@ -125,18 +110,21 @@ def hwm_expansion(n: int, prefix: DigitPrefix) -> tuple[int, int, list[int]]:
     The numerator and terms are _hwm_chain's, made ints only at the return,
     by from_digits of their digit strings: int(Decimal) is quadratic.
     """
-    num, terms = _hwm_chain(n, prefix.last_position, Decimal(prefix.digits))
+    (num, _), terms, _, _ = _hwm_chain(n, prefix.last_position, Decimal(prefix.digits))
     terms = [arith.from_digits(str(t)) for t in terms]
     return arith.from_digits(str(num)), predict.denominator(n), terms
 
 
-def _hwm_chain(n: int, p: int, value: Decimal) -> tuple[Decimal, list[Decimal]]:
-    """hwm_expansion's numerator and terms as exact Decimals with exponent 0,
-    so str() of each is its digit string: _level_chain over levels 4..n, on
-    the digits through position p read as the integer value."""
+def _hwm_chain(
+    n: int, p: int, value: Decimal
+) -> tuple[tuple[Decimal, Decimal], list[Decimal], Decimal, bool]:
+    """(pair, terms, q_prev, coprime) for level n: its _short_pair, then
+    _level_chain over levels 4..n, on the digits through position p read as
+    the integer value. The terms and the numerator are exact Decimals with
+    exponent 0, so str() of each is its digit string."""
     top = _short_pair(n, p, value)  # level n first: a short prefix names its position
     pairs = [_short_pair(m, p, value) for m in range(4, n)] + [top]
-    return top[0], _level_chain(pairs)[0]
+    return (top, *_level_chain(pairs))
 
 
 def convergent_from_coefficients(terms: Sequence[int]) -> Fraction:
@@ -198,16 +186,24 @@ def _short_pair(n: int, p: int, value: Decimal) -> tuple[Decimal, Decimal]:
     """Level n's numerator and short-form denominator as exact Decimals, where
     value is the digits through position p read as an integer, as
     digits._truth_value gives it: the required digits are its leading ones,
-    so every level reads the one value."""
+    so every level reads the one value.
+
+    The numerator is the ceiling of den * v / 10**need, v the required digits
+    as an integer: one short-by-long multiply, the shift on the short den so
+    no long operand is copied. At n = 4 the half-scale identity applies: the
+    ceiling is taken at half scale and doubled, 2 * ceil(81 * 0.1 / 2) = 10."""
     need = required_prefix_position(n)
     if p < need:
         raise PrecisionError(required_position=need, got=p)
     sci = predict.denominator_sci(n)
     with localcontext(arith.EXACT):
         den = Decimal(sci.digits).scaleb(sci.exponent - (len(sci.digits) - 1))
-        # an exact floor: to_integral_value signals neither Inexact nor Rounded
+        # exact floor and ceilings: to_integral_value signals neither Inexact nor Rounded
         v = value.scaleb(need - p).to_integral_value(ROUND_FLOOR)
-        return _numerator(n, v), den
+        x = den.scaleb(-need) * v
+        if n == 4:
+            return 2 * (x / 2).to_integral_value(ROUND_CEILING), den
+        return x.to_integral_value(ROUND_CEILING), den
 
 
 def _remainder_pair(

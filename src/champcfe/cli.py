@@ -123,7 +123,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     _require_deep(n, args, MAX_COMPUTE_HWM, "coefficient computation")
     p = cfe.required_prefix_position(n)
     # the chain's Decimals have exponent 0: str() is the digits, no radix conversion
-    num, terms = cfe._hwm_chain(n, p, digits._truth_value(p, args.max_digits))
+    (num, _), terms, _, _ = cfe._hwm_chain(n, p, digits._truth_value(p, args.max_digits))
     with open(args.out, "w", newline="") as fp:
         cfe._write_lines(map(str, terms), fp)
     if args.emit_numerator:

@@ -36,7 +36,7 @@ class SciDecimal:
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        if not self.digits or not self.digits.isdigit() or self.digits[0] == "0":
+        if not (self.digits.isascii() and self.digits.isdigit()) or self.digits[0] == "0":
             raise ValueError("mantissa must be digits with a nonzero lead")
 
     def round_to(self, ndigits: int) -> "SciDecimal":
@@ -235,7 +235,10 @@ def parity_consistent(coefficient_index: int, generation: int = 1) -> bool:
 def parse_denominator_shape(digit_string: str) -> DenominatorShape:
     """Split an observed denominator into preamble / nines / penultimate /
     zeroes by scanning the trailing zero run and the longest nine run."""
-    if not digit_string or not digit_string.isdigit():
+    # ASCII digits only, checked at C speed: str.isdigit() also takes other
+    # scripts' digits, and walks a long string at Unicode speed
+    stray = not digit_string.isascii() or digit_string.encode().translate(None, b"0123456789")
+    if not digit_string or stray:
         raise ValueError("denominator must be a nonempty digit string")
     stripped = digit_string.rstrip("0")
     best = longest_nines(stripped)

@@ -257,7 +257,7 @@ def verify_hwm(
     coefficient extraction, digit comparison, error measurement, and the
     next-level length check, each observation scored against its predictor.
 
-    The coefficients come from cfe._level_chain, each level's from the
+    The coefficients come from cfe._hwm_chain, each level's from the
     level before; a level that leaves the terms before, or follows a level
     out of lowest terms, is expanded from the start, so the chain assumes
     nothing checked here.
@@ -282,10 +282,7 @@ def verify_hwm(
     # their guard (2n+6 past p_ncd, 15 at n = 4)
     p = p_ncd + len(p_tail) + 64
     value = digits._truth_value(p, max_digits)  # every level's prefix is its leading digits
-    last = n + 1 if check_next_hwm else n
-    pairs = [cfe._short_pair(m, p, value) for m in range(4, last + 1)]
-    num, den = pairs[n - 4]
-    terms, q_prev, coprime = cfe._level_chain(pairs[: n - 3])
+    (num, den), terms, q_prev, coprime = cfe._hwm_chain(n, p, value)
     k = len(terms)
     total_digits = sum(t.adjusted() + 1 for t in terms)
 
@@ -327,10 +324,11 @@ def verify_hwm(
 
     next_len = None
     if check_next_hwm:  # level n+1 shares the k terms: skip them
-        next_len = coprime and cfe._next_term_digits(num, den, q_prev, *pairs[-1])
+        pair = cfe._short_pair(n + 1, p, value)
+        next_len = coprime and cfe._next_term_digits(num, den, q_prev, *pair)
         stable = bool(next_len)
         if not stable:  # out of lowest terms or off the terms: Euclid from the start
-            following = cfe._level_chain(pairs[-1:])[0]
+            following = cfe._level_chain([pair])[0]
             stable, next_len = following[:k] == terms, following[k].adjusted() + 1
         checks.append(_check("prefix_stability", True, stable))
         checks.append(_check("hwm_length", predict.hwm_length(n), next_len))

@@ -72,22 +72,23 @@ class TestNumerator:
                 assert denominator(n) == int(sci.digits) * 10 ** (p + 2 - n)
 
     @given(
-        n=st.integers(5, 14),
+        n=st.integers(4, 14),
         c=st.integers(0, 10**40),
         nudge=st.sampled_from([-1, 0, 1]),
         multiple=st.booleans(),
     )
     @settings(max_examples=300)
     def test_shifted_ceiling_matches_divmod(self, n, c, nudge, multiple):
-        # the numerator from level 5 on is ceil(m*v / 10**(n - 2)); with
-        # multiple, v makes m*v an exact multiple of 10**(n - 2), give or take one
-        m, scale = int(denominator_sci(n).digits), 10 ** (n - 2)
+        # the numerator from level 5 on is ceil(m*v / 10**(n - 2)), and at
+        # level 4 2*ceil(81*v / 20); with multiple, v makes m*v an exact
+        # multiple of the divisor, give or take one
+        m = int(denominator_sci(n).digits)
+        scale = 20 if n == 4 else 10 ** (n - 2)
         v = c * (scale // math.gcd(m, scale)) if multiple else c
         v = max(v + nudge, 0)
         q, r = divmod(m * v, scale)
-        with localcontext(arith.EXACT):
-            got = cfe._numerator(n, Decimal(v))
-        assert str(got) == str(q + (r > 0))
+        got = cfe._short_pair(n, required_prefix_position(n), Decimal(v))[0]
+        assert str(got) == str((q + (r > 0)) * (2 if n == 4 else 1))
 
     def test_required_positions_match_published_digit_counts(self):
         # digit counts include the leading '0', hence the +1

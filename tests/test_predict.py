@@ -223,6 +223,12 @@ class TestSciDecimal:
         with pytest.raises(ValueError):
             SciDecimal(0, "91", -3)
 
+    # Arabic-Indic, full-width and superscript digits pass str.isdigit()
+    @pytest.mark.parametrize("mantissa", ["\u0663\u0664", "3\u0664", "\uff11\uff12", "3\u00b2"])
+    def test_rejects_non_ascii_digits(self, mantissa):
+        with pytest.raises(ValueError, match="mantissa must be digits"):
+            SciDecimal(+1, mantissa, 0)
+
     def test_round_to(self):
         assert SciDecimal(+1, "89197323", -5590).round_to(3).digits == "892"
         assert SciDecimal(+1, "91010193", -190).round_to(2).digits == "91"
@@ -248,6 +254,17 @@ class TestShapeParsing:
     def test_rejects_non_digits(self):
         with pytest.raises(ValueError):
             parse_denominator_shape("12a4")
+
+    # a shape would parse from each of the first four, and its realize()
+    # then raise; a lone surrogate has no UTF-8 encoding
+    @pytest.mark.parametrize(
+        "raw",
+        ["\u0663\u0664999\u0661\u0660", "34999\uff110", "3\u00b29990", "34999\u0660"]
+        + ["34999\ud800"],
+    )
+    def test_rejects_non_ascii_digits(self, raw):
+        with pytest.raises(ValueError, match="nonempty digit string"):
+            parse_denominator_shape(raw)
 
     def test_rejects_runless_input(self):
         with pytest.raises(ValueError):

@@ -331,17 +331,7 @@ class TestNextLevelCheck:
         # moving the level-8 denominator two places leaves the level-7
         # terms behind; Euclid from the start on the level-8 pair gives
         # index 162 two digits
-        import dataclasses
-
-        import champcfe.predict as predict
-
-        real = predict.denominator_sci
-
-        def shifted(m):
-            sci = real(m)
-            return dataclasses.replace(sci, exponent=sci.exponent + 2) if m == 8 else sci
-
-        monkeypatch.setattr(predict, "denominator_sci", shifted)
+        self.perturb(monkeypatch, shift=8)
         p = verify_hwm(7, compute_error=False)
         assert p.next_hwm_length == 2
         assert len(str(hwm_expansion(8, truth_80k)[2][p.coefficient_index])) == 2
@@ -349,45 +339,37 @@ class TestNextLevelCheck:
         assert failed == {"prefix_stability": False, "hwm_length": 2}
 
     @staticmethod
-    def perturb(monkeypatch, truth, double=None, shift=None):
+    def perturb(monkeypatch, double=None, shift=None):
         """Double both halves of level double's pair, which keeps its value
-        and its terms, and move level shift's denominator two places."""
-        import dataclasses
+        and its terms, and move level shift's denominator two places, which
+        leaves its numerator as it was."""
+        real = cfe._short_pair
 
-        import champcfe.cfe as cfe
-        import champcfe.predict as predict
-
-        num = double and numerator_for_hwm(double, truth)
-        real_sci, real_num = predict.denominator_sci, cfe._numerator
-
-        def sci(m):
-            s = real_sci(m)  # 4990005 and 499900005 double to as many digits
+        def pair(m, p, value):
+            num, den = real(m, p, value)
             if m == shift:
-                return dataclasses.replace(s, exponent=s.exponent + 2)
-            return dataclasses.replace(s, digits=str(2 * int(s.digits))) if m == double else s
+                return num, den.scaleb(2)
+            if m == double:  # 4990005 and 499900005 double to as many digits
+                with localcontext(arith.EXACT):  # the default context rounds to 28 digits
+                    return 2 * num, 2 * den
+            return num, den
 
-        def doubled_num(m, v):
-            return Decimal(2 * num) if m == double else real_num(m, v)
+        monkeypatch.setattr(cfe, "_short_pair", pair)
 
-        monkeypatch.setattr(predict, "denominator_sci", sci)
-        monkeypatch.setattr(cfe, "_numerator", doubled_num)
-
-    def test_pair_out_of_lowest_terms_steps_by_the_reduced_cofactors(
-        self, monkeypatch, truth_80k
-    ):
+    def test_pair_out_of_lowest_terms_steps_by_the_reduced_cofactors(self, monkeypatch):
         # only the coprimality and the numerator's own digit patterns fail;
         # the cofactors of the terms do not fit the doubled pair, so the
         # length is read off the full level-8 expansion
         import champcfe.predict as predict
 
-        self.perturb(monkeypatch, truth_80k, double=7)
+        self.perturb(monkeypatch, double=7)
         p = verify_hwm(7, compute_error=False)
         assert {c.field for c in p.violations()} == {"lowest_terms", "numerator_tail"}
         assert p.next_hwm_length == predict.hwm_length(7)
 
-    def test_pair_out_of_lowest_terms_and_off_the_expansion(self, monkeypatch, truth_80k):
+    def test_pair_out_of_lowest_terms_and_off_the_expansion(self, monkeypatch):
         # both reasons to leave the cofactor jump at once
-        self.perturb(monkeypatch, truth_80k, double=7, shift=8)
+        self.perturb(monkeypatch, double=7, shift=8)
         p = verify_hwm(7, compute_error=False)
         failed = {c.field: c.observed for c in p.violations()}
         assert set(failed) == {"lowest_terms", "numerator_tail", "prefix_stability", "hwm_length"}
@@ -395,14 +377,12 @@ class TestNextLevelCheck:
         assert p.next_hwm_length == failed["hwm_length"] == 2
 
     @pytest.mark.parametrize("perturbation", [{"double": 6}, {"shift": 6}])
-    def test_level6_off_the_chain_leaves_later_levels_alone(
-        self, monkeypatch, truth_80k, perturbation
-    ):
+    def test_level6_off_the_chain_leaves_later_levels_alone(self, monkeypatch, perturbation):
         # level 6 out of lowest terms, or off level 5's terms, restarts
         # Euclid at level 7 or level 6; levels 7 and 8 read exactly as
         # unperturbed
         want = {n: verify_hwm(n).as_dict() for n in (7, 8)}
-        self.perturb(monkeypatch, truth_80k, **perturbation)
+        self.perturb(monkeypatch, **perturbation)
         assert {n: verify_hwm(n).as_dict() for n in (7, 8)} == want
 
 

@@ -94,6 +94,26 @@ def _exact_quotient(a: decimal.Decimal, b: decimal.Decimal | int) -> decimal.Dec
     return quotient
 
 
+# libmpdec multiplies schoolbook while the shorter factor has at most 256
+# words of 19 digits, however long the other
+_SCHOOLBOOK_DIGITS = 256 * 19
+
+
+def _product(a: decimal.Decimal, b: decimal.Decimal) -> decimal.Decimal:
+    """a * b for integral Decimals with exponent 0, exact in any context.
+    From 100 words (1,900 digits) on, a shorter factor in that window is faster
+    with trailing zeros up to one digit past it: the product then takes the
+    number-theoretic transform, and to_integral_value drops the zeros,
+    signalling neither Inexact nor Rounded."""
+    with decimal.localcontext(EXACT):
+        short, long = (a, b) if a.adjusted() <= b.adjusted() else (b, a)
+        n = short.adjusted() + 1
+        if not 100 * 19 < n <= _SCHOOLBOOK_DIGITS < long.adjusted() + 1:
+            return a * b
+        pad = _SCHOOLBOOK_DIGITS + 1 - n
+        return (short.scaleb(pad).quantize(1) * long).scaleb(-pad).to_integral_value()
+
+
 def first_difference(a: str, b: str) -> int | None:
     """Index of the first differing character, or None if one string is a
     prefix of the other."""

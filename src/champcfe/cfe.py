@@ -7,9 +7,12 @@ the slow digit-truncation method kept as an efficiency baseline.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate
 from typing import IO, Iterable, Sequence
 
 from . import arith, predict
@@ -139,6 +142,7 @@ def convergent_from_coefficients(terms: Sequence[int]) -> Fraction:
 # a run of terms below _WORD is held in a 2x2 matrix of Python ints while
 # its entries stay below _WORD: each entry is then one libmpdec word
 _WORD = 10**18
+_LEAF = 100_000  # _continuant splits terms whose digits total at least this
 
 
 def _check_terms(seq: Sequence) -> None:
@@ -154,14 +158,60 @@ def _continuant(seq: Sequence) -> tuple:
     pass over the terms reversed gives both. No term is checked: terms from
     outside the program go through _check_terms first.
 
-    seq holds ints or integral Decimals (then under arith.EXACT). A run of
-    terms below _WORD goes into the matrix m = [[m00, m01], [m10, m11]] of
-    Python ints, which is applied to (k, k_prev) by four one-word multiplies
-    before a longer term, before an entry would reach _WORD, and at the end:
-    the plain recurrence pays a multiply by a long k per term. k is of the
-    terms' type, so Decimal terms give Decimals with exponent 0 however
-    short the run."""
+    seq holds ints or integral Decimals (then under arith.EXACT), and so
+    does the result, Decimals with exponent 0. Under _LEAF digits in all,
+    one _batched_pass; above, the product of the term matrices [[a, 1],
+    [1, 0]] splits where the running digit total crosses half the total, so
+    a term longer than the rest together meets one row, not every run after
+    it. Decimal products go through arith._product."""
     zero = type(seq[0])(0) if seq else 0
+    if isinstance(zero, Decimal):
+        sizes, mul = [t.adjusted() + 1 for t in seq], arith._product
+    else:  # about 0.3 digits a bit
+        sizes, mul = [t.bit_length() * 3 // 10 + 1 for t in seq], operator.mul
+    if sum(sizes) < _LEAF:
+        return _batched_pass(seq, zero, mul)
+    return _split_row(seq, list(accumulate(sizes, initial=0)), zero, mul, 0, len(seq))
+
+
+# The split recurses at module level, as arith's conversions do: a nested
+# function that calls itself would keep the terms alive through its closure.
+
+
+def _split_row(seq, cum, zero, mul, lo, hi) -> tuple:
+    """_continuant of seq[lo:hi], cum the running digit totals: the row
+    before the split term h, times h's matrix, times the matrix after h."""
+    if cum[hi] - cum[lo] < _LEAF:
+        return _batched_pass(seq[lo:hi], zero, mul)
+    h = bisect_right(cum, (cum[lo] + cum[hi]) // 2, lo + 1, hi + 1) - 1
+    r0, r1 = _split_row(seq, cum, zero, mul, lo, h)
+    x = mul(r0, seq[h]) + r1
+    (m00, m01), (m10, m11) = _split_matrix(seq, cum, zero, mul, h + 1, hi)
+    return mul(x, m00) + mul(r0, m10), mul(x, m01) + mul(r0, m11)
+
+
+def _split_matrix(seq, cum, zero, mul, lo, hi) -> tuple:
+    """The matrix product ((K(s), K(s[:-1])), (K(s[1:]), K(s[1:-1]))) of
+    s = seq[lo:hi], split as in _split_row; a leaf passes over s and s[1:]."""
+    if lo == hi:
+        return (zero + 1, zero), (zero, zero + 1)
+    if cum[hi] - cum[lo] < _LEAF:
+        return _batched_pass(seq[lo:hi], zero, mul), _batched_pass(seq[lo + 1 : hi], zero, mul)
+    h = bisect_right(cum, (cum[lo] + cum[hi]) // 2, lo + 1, hi + 1) - 1
+    (l00, l01), (l10, l11) = _split_matrix(seq, cum, zero, mul, lo, h)
+    l00, l01, l10, l11 = mul(l00, seq[h]) + l01, l00, mul(l10, seq[h]) + l11, l10
+    (r00, r01), (r10, r11) = _split_matrix(seq, cum, zero, mul, h + 1, hi)
+    return (
+        (mul(l00, r00) + mul(l01, r10), mul(l00, r01) + mul(l01, r11)),
+        (mul(l10, r00) + mul(l11, r10), mul(l10, r01) + mul(l11, r11)),
+    )
+
+
+def _batched_pass(seq: Sequence, zero, mul) -> tuple:
+    """_continuant of seq in one pass, of zero's type. A run of terms below
+    _WORD goes into the matrix m = [[m00, m01], [m10, m11]] of Python ints,
+    applied to (k, k_prev) by four one-word multiplies before a longer
+    term, before an entry would reach _WORD, and at the end."""
     k, k_prev = zero + 1, zero
     m00, m01, m10, m11 = 1, 0, 0, 1
     for a in seq:
@@ -176,7 +226,7 @@ def _continuant(seq: Sequence) -> tuple:
             m00, m01, m10, m11 = a, 1, 1, 0
         else:
             m00, m01, m10, m11 = 1, 0, 0, 1
-            k, k_prev = a * k + k_prev, k
+            k, k_prev = mul(a, k) + k_prev, k
     if m10 or m01:
         k, k_prev = m00 * k + m01 * k_prev, m10 * k + m11 * k_prev
     return k, k_prev

@@ -434,6 +434,14 @@ def verify_child(
     shape = predict.parse_denominator_shape(str(den))  # exponent 0: its digits
 
     diff = _residual(num, _denominator_blocks(shape), need, value)
+    # an error below 10^-exp is out of _error's reach on these need digits,
+    # and no child comes that close: say so rather than ask for more digits
+    if diff.copy_abs() < den.scaleb(need - exp, arith.EXACT):
+        raise ValueError(
+            f"coefficient index {k} is not a child: its convergent agrees with the"
+            f" constant to within 1E-{exp}, past position {exp - 1}, where a child"
+            f" after HWM #{m} fails"
+        )
     err_obs = _error(diff, den, need, len(p_err.digits) + 1)
     found = _first_failure(num, den, need, partial(digits._digit_window, p=need), diff)
     if found is None or found[0] > exp + 32:

@@ -115,3 +115,48 @@ def test_from_digits_accepts_ascii_digits_only(bad):
     assert arith.from_digits("0012") == 12
     with pytest.raises(ValueError):
         arith.from_digits(bad)
+
+
+# _product's window: libmpdec multiplies schoolbook while the shorter factor
+# has at most 256 words of 19 digits (4,864 digits); _product pads it past
+# that from 100 words (1,900 digits) on, where the padding starts to pay
+WINDOW_EDGES = [1500, 1900, 1901, 4864, 4865]
+
+
+@st.composite
+def integral_decimals(draw, sizes):
+    """A signed integral Decimal with exponent 0 of a drawn digit count,
+    whose coefficient may end in zeros."""
+    n = draw(sizes)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    s = rng.choice("123456789") + "".join(rng.choices("0123456789", k=n - 1))
+    zeros = draw(st.sampled_from([0, 1, n // 2, n - 1]))
+    return Decimal(draw(st.sampled_from(["", "-"])) + s[: n - zeros] + "0" * zeros)
+
+
+SHORT_SIDE = st.one_of(
+    st.sampled_from([Decimal(0), Decimal(1), Decimal(-1)]),
+    integral_decimals(
+        st.one_of(
+            st.integers(1, 6000),
+            st.sampled_from(WINDOW_EDGES).flatmap(lambda e: st.integers(e - 2, e + 2)),
+        )
+    ),
+)
+LONG_SIDE = integral_decimals(st.one_of(st.integers(4865, 60_000), st.just(4865)))
+
+
+@given(a=SHORT_SIDE, b=LONG_SIDE, swap=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_product_is_the_exact_product_in_any_context(a, b, swap):
+    if swap:
+        a, b = b, a
+    with decimal.localcontext(arith.EXACT):
+        want = a * b
+        got = arith._product(a, b)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 28  # a caller's default context must not round it
+        got_28 = arith._product(a, b)
+    # str() shows any exponent, so equal strings prove exponent 0
+    assert got == got_28 == want
+    assert str(got) == str(got_28) == str(want)

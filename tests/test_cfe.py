@@ -263,6 +263,43 @@ def test_batched_continuant_matches_the_recurrence(terms, as_decimals, continuan
 
 
 @st.composite
+def planted_lists(draw):
+    """Runs of up to 30 short terms with 1-3 long ones planted among them:
+    10^3 to 10^5 digits, or in arith._product's window (1,900 to 4,864),
+    and sometimes one of 10^5 digits among others of 10^4 at most, longer
+    than half the total. Long terms are random ints of about that many
+    digits."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    run = st.lists(st.one_of(st.integers(1, 9), st.integers(1, 10**40)), max_size=30)
+    sizes = st.one_of(st.integers(1000, 100_000), st.integers(1900, 4864))
+    planted = draw(st.lists(sizes, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        planted = [100_000] + [min(s, 10_000) for s in planted[1:]]
+    seq = [draw(st.integers(0, 9))] + draw(run)
+    for size in planted:
+        at = draw(st.integers(0, len(seq)))
+        seq[at:at] = [rng.getrandbits(size * 10 // 3) | 1] + draw(run)
+    return seq
+
+
+@given(
+    terms=planted_lists(),
+    leaf=st.sampled_from([1, 2000, 30_000, 100_000]),
+    as_decimals=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_split_continuant_matches_the_recurrence(terms, leaf, as_decimals, continuant):
+    # a small leaf makes the split run at test scale; the Decimal oracle is
+    # the plain recurrence on libmpdec's own products, not arith._product's
+    with pytest.MonkeyPatch.context() as mp, localcontext(arith.EXACT):
+        mp.setattr(cfe, "_LEAF", leaf)
+        seq = [to_decimal(t) for t in terms] if as_decimals else terms
+        for s in (seq, seq[::-1]):
+            # equal strings: equal values, and Decimals with exponent 0
+            assert [str(v) for v in cfe._continuant(s)] == [str(v) for v in continuant(s)]
+
+
+@st.composite
 def lehmer_pairs(draw):
     """(a, b) for the Lehmer loop: a rational from a term list with planted
     40-digit quotients and powers of ten (and their neighbours), times a

@@ -343,6 +343,23 @@ class TestChild:
         assert (code, out) == (1, "")
         assert err == "error: coefficients after the first must be >= 1\n"
 
+    @pytest.mark.parametrize(
+        "index, hwm, exp", [(161, 6, 5590), (162, 6, 5590), (526, 7, 74890)]
+    )
+    def test_a_convergent_closer_than_a_child_is_no_child(
+        self, capsys, coefficients8, index, hwm, exp
+    ):
+        # its error lies below what the child's own truth digits can measure,
+        # so no digit budget helps: one error line names the index instead
+        want = (
+            f"error: coefficient index {index} is not a child: its convergent agrees"
+            f" with the constant to within 1E-{exp}, past position {exp - 1}, where a"
+            f" child after HWM #{hwm} fails\n"
+        )
+        argv = ["child", "--coefficient-index", str(index), "--coefficients", str(coefficients8)]
+        for budget in ([], ["--max-digits", "100000000"]):
+            assert run(capsys, *budget, *argv) == (1, "", want)
+
     def test_violation_exit_code(self, capsys, coefficients8):
         code, out, _ = run(
             capsys,

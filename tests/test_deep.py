@@ -11,7 +11,8 @@ reproduce the published generation table below index 4,838, the file
 `compute --hwm 10 --deep` writes, certified by its continuants to be the
 expansion of the predicted pair and then read back to verify the child
 after HWM #9 through the CLI, and one `compute --hwm 11 --deep` run,
-whose file must be the recorded one, whose lengths reproduce the
+whose file must be the recorded one, certified by its continuants to
+be the expansion of the predicted pair, whose lengths reproduce the
 published generation table below index 13,522, whose numerator
 carries the published nine-runs, and which, read back, verifies the
 child after HWM #10 through the CLI.
@@ -175,6 +176,24 @@ def level11(tmp_path_factory):
 def test_level11_file_is_the_recorded_one(level11):
     assert hashlib.sha256(level11[0].read_bytes()).hexdigest() == LEVEL11_SHA256
     print("\ndeep: compute --hwm 11 writes the recorded file")
+
+
+@pytest.mark.deep
+def test_level11_file_is_the_expansion_of_the_predicted_pair(level11):
+    """The level-11 file's certificate, as for level 10: K(terms) = the
+    emitted numerator and K(terms[1:]) = the predicted denominator, every
+    term after the first >= 1 and an even length. The first check of the
+    file that does not go through the level chain."""
+    terms = [Decimal(s) for s in level11[0].read_text().splitlines()]
+    numerator = Decimal(level11[1].read_text().rstrip("\n"))
+    sci = denominator_sci(11)
+    assert len(terms) % 2 == 0
+    assert all(t >= 1 for t in terms[1:])
+    with localcontext(EXACT):
+        # short form: Decimal(int) of the 68.9M-digit denominator is quadratic
+        denominator = Decimal(sci.digits).scaleb(sci.exponent - (len(sci.digits) - 1))
+        assert cfe._continuant(terms[::-1]) == (numerator, denominator)
+    print("\ndeep: the level-11 file expands the predicted pair")
 
 
 @pytest.mark.deep

@@ -242,8 +242,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0 if all(r["status"] == verify.CONFIRMED for r in levels) else 2
 
 
+class _UsageError(Exception):
+    """A command line argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error in place of printing usage and exiting 2, so
+    main reports it as one error: line; subparsers are made of this class too."""
+
+    def error(self, message: str):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="champcfe",
         description="Champernowne base-10 continued-fraction toolkit",
     )
@@ -311,8 +323,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         args.max_digits = _digit_budget(args.max_digits)
         return args.handler(args)

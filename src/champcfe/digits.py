@@ -79,12 +79,24 @@ def locate_position(p: int) -> DigitLocation:
     """
     if p < 1:
         raise ValueError("position 0 is the leading '0'; no integer covers it")
-    d = 1
-    while position_of_power(d) <= p:
-        d += 1
-    offset = p - position_of_power(d - 1)
-    q, r = divmod(offset, d)
-    return DigitLocation(integer=10 ** (d - 1) + q, digit_ordinal=r + 1)
+    for _, n, _, skip, _ in _runs(p, p):
+        return DigitLocation(integer=n, digit_ordinal=skip + 1)
+
+
+def _runs(a: int, p: int):
+    """(width, n, hi, digits of n before a, digits of hi - 1 past p) for each
+    width's run of the integers n..hi-1 that cover positions a..p, 1 <= a <= p
+    (none when p = 0). It calls no public name, so a traced digits_up_to
+    stays one span."""
+    width, start = 1, 1  # start: the position of 10**(width - 1)
+    while start <= p:
+        end = start + 9 * width * 10 ** (width - 1)
+        if end > a:
+            q, skip = divmod(max(a - start, 0), width)
+            r, last = divmod(min(p, end - 1) - start, width)
+            base = 10 ** (width - 1)
+            yield width, base + q, base + r + 1, skip, width - 1 - last
+        start, width = end, width + 1
 
 
 def _check_budget(p: int, max_digits: int) -> None:
@@ -95,27 +107,9 @@ def _check_budget(p: int, max_digits: int) -> None:
 
 
 def digits_up_to(p: int, max_digits: int = DEFAULT_DIGIT_BUDGET) -> DigitPrefix:
-    """First p fractional digits of the constant, preceded by the leading '0'.
-
-    Blocks of width 3 and up are built a hundred integers per join (str(h)
-    joined with _HUNDRED is 100h .. 100h+99). Only the last piece is trimmed,
-    so the final join is the one full-length copy: peak memory about 2*p.
-    """
+    """First p fractional digits of the constant, preceded by the leading '0'."""
     _check_budget(p, max_digits)
-    parts = ["0"]
-    total = 1
-    n, width = 1, 1
-    while total <= p:
-        # integers of this width still needed, to the block end
-        hi = min(10**width, n + (p - total) // width + 1)
-        mid = hi - hi % 100 if n >= 100 else n  # end of the whole hundreds
-        parts += map(str.join, map(str, range(n // 100, mid // 100)), repeat(_HUNDRED))
-        parts += map(str, range(mid, hi))
-        total += (hi - n) * width
-        n, width = hi, width + 1
-    if total > p + 1:  # the last integer overshoots p
-        parts[-1] = parts[-1][: p + 1 - total]
-    return DigitPrefix("".join(parts))
+    return DigitPrefix(_digit_window(0, p))
 
 
 def _truth_value(p: int, max_digits: int = DEFAULT_DIGIT_BUDGET) -> Decimal:
@@ -132,15 +126,10 @@ def _truth_value(p: int, max_digits: int = DEFAULT_DIGIT_BUDGET) -> Decimal:
     digits past p a floor cut drops.
     """
     _check_budget(p, max_digits)
-    if p == 0:
-        return Decimal(0)
-    last = locate_position(p)
-    width = len(str(last.integer))
-    v = Decimal(0)
+    v, cut = Decimal(0), 0  # p == 0 has no run
     with localcontext(arith.EXACT):
-        for d in range(1, width + 1):
-            b = last.integer if d == width else 10**d - 1
-            n, w = b - 10 ** (d - 1) + 1, 10**d - 1
+        for d, a, hi, _, cut in _runs(1, p):
+            b, n, w = hi - 1, hi - a, 10**d - 1
             k1, shift = b * w + w + 1, d * n
             # (K1 - K2)*10**shift is short: only the subtraction of K1 writes
             # every digit; no name holds that dividend past the division
@@ -148,16 +137,26 @@ def _truth_value(p: int, max_digits: int = DEFAULT_DIGIT_BUDGET) -> Decimal:
                 (k1 - n * w) * Decimal(1).scaleb(shift) - k1, w * w
             )
         # an exact floor: to_integral_value signals neither Inexact nor Rounded
-        return v.scaleb(last.digit_ordinal - width).to_integral_value(ROUND_FLOOR)
+        return v.scaleb(-cut).to_integral_value(ROUND_FLOOR)
 
 
 def _digit_window(a: int, p: int) -> str:
-    """digits_up_to(p).digits[a:], the digits of positions a..p, from the
-    integers that cover them: no digit before position a is made."""
+    """digits_up_to(p).digits[a:], the digits of positions a..p, made from
+    the integers that cover them alone. After a head run to the first whole
+    hundred, a hundred integers go in one join (str(h) joined with _HUNDRED
+    is 100h .. 100h+99). Only the first and last pieces are cut, so the
+    final join is the one full-length copy: peak memory about 2*(p - a)."""
     if a > p:
         return ""
-    if a == 0:
-        return "0" + _digit_window(1, p)
-    first, last = locate_position(a), locate_position(p)
-    s = "".join(map(str, range(first.integer, last.integer + 1)))
-    return s[first.digit_ordinal - 1 : len(s) - len(str(last.integer)) + last.digit_ordinal]
+    parts = ["0"] if a == 0 else []
+    for width, n, hi, skip, cut in _runs(max(a, 1), p):
+        head = min(hi, -(-n // 100) * 100)  # the whole run below 100
+        mid = max(head, hi - hi % 100)  # end of the whole hundreds
+        parts += map(str, range(n, head))
+        parts += map(str.join, map(str, range(head // 100, mid // 100)), repeat(_HUNDRED))
+        parts += map(str, range(mid, hi))
+        # only the last run cuts, and only the first skips, at parts[0] as a > 0
+        # then; a one-piece run does both, so the cut goes first
+        parts[-1] = parts[-1][: len(parts[-1]) - cut]
+        parts[0] = parts[0][skip:]
+    return "".join(parts)

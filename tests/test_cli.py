@@ -439,6 +439,22 @@ class TestErrors:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify --hwm x",
+            "frobnicate",
+            "compute --hwm 8",
+            "verify --hwm 5 --bogus",
+            "predict --hwm 7 --format xml",
+        ],
+    )
+    def test_usage_error_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 

@@ -5,9 +5,9 @@ reproduces the published NCD 5,888,883 and error 9.00001E-5,888,890,
 plus the level-10 jump that exposes the 4,911,098-digit coefficient,
 matches the level chain and hwm_expansion against the int oracle, and
 confirms the child at coefficient 1221. Marked deep, and excluded by
-default: level 10's full verification, on 68.9 million constant digits,
-the level-10 coefficients computed through hwm_expansion, which
-reproduce the published generation table below index 4,838, the file
+default: the full verifications of levels 10 and 11, on 68.9 and 788.9
+million constant digits, the level-10 coefficients computed through
+hwm_expansion, which reproduce the published generation table below index 4,838, the file
 `compute --hwm 10 --deep` writes, certified by its continuants to be the
 expansion of the predicted pair and then read back to verify the child
 after HWM #9 through the CLI, and one `compute --hwm 11 --deep` run,
@@ -158,6 +158,21 @@ def test_level10_child_3569_through_the_cli(tmp_path, capsys):
     assert p["shape_lengths_predicted"] == list(lengths)
     assert p["child_length"] == p["child_length_predicted"] == 411_044
     print("\ndeep: child at 3569 confirmed, shape 40/5399960/39/38884")
+
+
+@pytest.mark.deep
+def test_level11_full_verification():
+    # about 62 s at 1.8 GB: 7.9e8 constant digits and the level-12 length
+    p = verify_hwm(11, compute_error=True, check_next_hwm=True, max_digits=9 * 10**8)
+    assert p.status == "confirmed"
+    assert all(c.ok for c in p.checks)
+    assert p.observed_ncd == 788_888_881
+    assert str(p.error_observed.round_to(8)) == "9.0000001E-788888890"
+    assert p.coefficient_index == 13_522
+    assert p.total_coefficient_digits == 68_897_496
+    assert {c.field: c.observed for c in p.checks}["nines_run"] == 35_987
+    assert p.next_hwm_length == 651_111_094
+    print("\ndeep: level 11 confirmed, error 9.0000001E-788888890, next length 651111094")
 
 
 @pytest.fixture(scope="module")

@@ -127,9 +127,15 @@ def test_generation_at_hundred_edges(width):
         assert len(str(n)) == width
         # every p from w + 2 before the integer's first digit to w + 2 past its last
         first = position_of_integer(n)
-        for p in range(first - width - 2, first + 2 * width + 2):
+        near = range(first - width - 2, first + 2 * width + 2)
+        for p in near:
             assert p <= ORACLE_P
             assert digits_up_to(p).digits == oracle()[: p + 1]
+        # windows from every such a: to every such p (a head run at most), and
+        # on past one or two whole hundreds (a head run, hundreds, a tail run)
+        for a in near:
+            for p in [*near, a + 100 * width + 7, a + 250 * width]:
+                assert _digit_window(a, p) == oracle()[a : p + 1]
 
 
 def test_generation_at_the_seven_digit_block_start():

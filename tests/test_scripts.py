@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import os
 import subprocess
 import sys
@@ -35,3 +36,23 @@ def test_reproduce_tables_generation_rows_match_the_published_table(reproduce_ta
     with open(ROOT / "tests" / "data" / "generation_table.csv") as fp:
         published = [tuple(map(int, r.values())) for r in csv.DictReader(fp)]
     assert rows == [(0, 1, 1), (4, 6, 1)] + [r for r in published if r[0] < 526]
+
+
+def test_bench_pairs_compare_applies_the_claim_rule():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    faster = [p - 1 for p in parent]
+    row = bench_pairs.compare(parent, faster, lower_is_better=True, bound=0.25)
+    assert (row["wins"], row["verdict"], row["claim"]) == (10, "ok", True)
+    # nine wins of ten, but a gap inside the parent's spread
+    close = [p - 0.01 for p in parent[:9]] + [parent[9] + 0.01]
+    row = bench_pairs.compare(parent, close, lower_is_better=True, bound=0.25)
+    assert (row["wins"], row["claim"]) == (9, False)
+    row = bench_pairs.compare(parent, [p * 1.3 for p in parent], lower_is_better=True, bound=0.25)
+    assert (row["wins"], row["verdict"]) == (0, "worse")
+    # a spread wider than the bound leaves a metric unresolved, unless every
+    # run of the change reads better than every run of the parent
+    assert bench_pairs.compare(parent, close, True, bound=0.01)["verdict"] == "unresolved"
+    assert bench_pairs.compare(parent, faster, True, bound=0.01)["verdict"] == "ok"

@@ -7,12 +7,14 @@
 Each pair runs `champbench/run.py --trace 0` once in each checkout, with
 the pair number as the seed: the parent first in odd pairs, the change
 first in even ones. Every run's last JSON line is printed as it comes.
-Then, per end-to-end metric of the change's BENCHMARK.json, the table
-gives the parent's median and interquartile range, the change's median,
-how many pairs the change won (ties count for neither side), the change
-against its bound, and whether a gain could be claimed: the change won at
-least nine pairs in ten and its median is better than the parent's by
-more than the parent's interquartile range.
+The gate is the parent's BENCHMARK.json, and a change whose file differs
+is refused. Each side's failed-op share (failed over attempted ops, over
+all its runs) is printed, worse where the change's is higher. Then, per
+end-to-end metric, the table gives the parent's median and interquartile
+range, the change's median, how many pairs the change won (ties count for
+neither side), the change against its bound, and whether a gain could
+be claimed: the change won at least nine pairs in ten and its median is
+better than the parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -33,6 +35,26 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"error: {checkout}: {' '.join(cmd)} exited "
                          f"{proc.returncode}:\n{proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def load_gate(parent: Path, change: Path) -> list[dict]:
+    """The end-to-end metrics of the parent's BENCHMARK.json: a change is
+    judged by its parent's bounds, never by bounds of its own."""
+    text = (parent / "BENCHMARK.json").read_bytes()
+    if (change / "BENCHMARK.json").read_bytes() != text:
+        raise SystemExit(f"error: {change / 'BENCHMARK.json'} differs from "
+                         f"{parent / 'BENCHMARK.json'}; a change is judged by its parent's gate")
+    return json.loads(text)["end_to_end"]
+
+
+def compare_failures(parent: list[dict], change: list[dict]) -> dict:
+    """Each side's failed ops over its attempted ops, summed over its runs;
+    the change is worse where its share is higher."""
+    share = {}
+    for side, results in (("parent", parent), ("change", change)):
+        attempted = sum(r["attempted"] for r in results)
+        share[side] = sum(r["failed"] for r in results) / attempted if attempted else 0.0
+    return {**share, "verdict": "worse" if share["change"] > share["parent"] else "ok"}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -73,7 +95,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    spec = load_gate(args.parent, args.change)
 
     runs = {"parent": [], "change": []}
     for pair in range(1, args.pairs + 1):
@@ -85,11 +107,13 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s; median parent -> "
           f"change, parent IQR, change better in wins/pairs")
+    failures = compare_failures(runs["parent"], runs["change"])
     for side, results in runs.items():
         failed = sum(r["failed"] for r in results)
         attempted = sum(r["attempted"] for r in results)
-        print(f"  {side}: {failed}/{attempted} ops failed, "
+        print(f"  {side}: {failed}/{attempted} ops failed ({100 * failures[side]:.3g}%), "
               f"median {statistics.median(r['attempted'] for r in results):g} attempted per run")
+    print(f"  failed share: {failures['verdict']}")
     for m in spec:
         name = m["name"]
         row = compare([r["metrics"][name]["value"] for r in runs["parent"]],

@@ -1,8 +1,10 @@
 """Big-integer helpers shared by the digit and convergent machinery.
 
-Everything here works on plain Python ints. Conversions above a few
-thousand digits split the operand in halves, which stays sub-quadratic
-where CPython's own int/str conversions are quadratic.
+The conversions work on plain Python ints: above a few thousand digits
+they split the operand in halves, which stays sub-quadratic where
+CPython's own int/str conversions are quadratic. EXACT, _exact_quotient
+and _product are the exact Decimal arithmetic that the expansion and the
+verifier run on.
 """
 
 from __future__ import annotations

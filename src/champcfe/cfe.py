@@ -121,13 +121,31 @@ def hwm_expansion(n: int, prefix: DigitPrefix) -> tuple[int, int, list[int]]:
 def _hwm_chain(
     n: int, p: int, value: Decimal
 ) -> tuple[tuple[Decimal, Decimal], list[Decimal], Decimal, bool]:
-    """(pair, terms, q_prev, coprime) for level n: its _short_pair, then
-    _level_chain over levels 4..n, on the digits through position p read as
-    the integer value. The terms and the numerator are exact Decimals with
-    exponent 0, so str() of each is its digit string."""
+    """(pair, terms, q_prev, coprime) for level n, on the digits through
+    position p read as the integer value: its _short_pair, hwm_expansion's
+    terms of that pair, the denominator of the convergent before it, and
+    whether the pair is in lowest terms. The terms and the numerator are
+    exact Decimals with exponent 0, so str() of each is its digit string.
+
+    Level 4 runs Euclid from the start. Each later level jumps past the
+    terms of the one before by _remainder_pair and runs Euclid only on the
+    rest, so no level walks the shared terms again. A level whose pair
+    leaves the terms before, or follows a pair not in lowest terms (whose
+    cofactors then are not those of its pair), runs Euclid from the start.
+    """
     top = _short_pair(n, p, value)  # level n first: a short prefix names its position
-    pairs = [_short_pair(m, p, value) for m in range(4, n)] + [top]
-    return (top, *_level_chain(pairs))
+    terms: list[Decimal] = []
+    num = den = q_prev = Decimal(0)
+    coprime = False
+    for m in range(4, n + 1):
+        a, b = top if m == n else _short_pair(m, p, value)
+        pair = _remainder_pair(num, den, q_prev, a, b) if coprime else None
+        if pair is None:
+            terms, pair, den = [], (a, b), Decimal(0)
+        tail, q_prev, coprime = _extend(*pair, den, b)
+        terms += tail
+        num, den = a, b
+    return top, terms, q_prev, coprime
 
 
 def convergent_from_coefficients(terms: Sequence[int]) -> Fraction:
@@ -325,33 +343,6 @@ def _extend(
         g = arith._exact_quotient(y, r00)
         q_prev = arith._exact_quotient(b * r01 - g * q, y)
     return tail, q_prev, g == 1
-
-
-def _level_chain(
-    pairs: Sequence[tuple[Decimal, Decimal]],
-) -> tuple[list[Decimal], Decimal, bool]:
-    """(terms, q_prev, coprime) of the last of pairs, the _short_pair of
-    consecutive levels, as exact Decimals: hwm_expansion's terms of that
-    pair, the denominator of the convergent before it, and whether the pair
-    is in lowest terms.
-
-    The first level runs Euclid from the start. Each later level jumps past
-    the terms of the one before by _remainder_pair and runs Euclid only on
-    the rest, so no level walks the shared terms again. A level whose pair
-    leaves the terms before, or follows a pair not in lowest terms (whose
-    cofactors then are not those of its pair), runs Euclid from the start.
-    """
-    terms: list[Decimal] = []
-    p = q = q_prev = Decimal(0)
-    coprime = False
-    for a, b in pairs:
-        pair = _remainder_pair(p, q, q_prev, a, b) if coprime else None
-        if pair is None:
-            terms, pair, q = [], (a, b), Decimal(0)
-        tail, q_prev, coprime = _extend(*pair, q, b)
-        terms += tail
-        p, q = a, b
-    return terms, q_prev, coprime
 
 
 @dataclass(frozen=True)

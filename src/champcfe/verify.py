@@ -265,7 +265,8 @@ def verify_hwm(
     Checking the length of HWM #n itself requires the coefficients of the
     convergent before HWM #(n+1), where that term finally appears; with
     check_next_hwm the n+1 level is computed and its term at this level's
-    terminal index is measured.
+    terminal index is measured; an expansion with no such term reads as
+    length None.
     """
     if n < 4:
         raise ValueError("verification starts at HWM #4")
@@ -324,12 +325,14 @@ def verify_hwm(
 
     next_len = None
     if check_next_hwm:  # level n+1 shares the k terms: skip them
-        pair = cfe._short_pair(n + 1, p, value)
-        next_len = coprime and cfe._next_term_digits(num, den, q_prev, *pair)
+        next_len = coprime and cfe._next_term_digits(
+            num, den, q_prev, *cfe._short_pair(n + 1, p, value)
+        )
         stable = bool(next_len)
-        if not stable:  # out of lowest terms or off the terms: Euclid from the start
-            following = cfe._level_chain([pair])[0]
-            stable, next_len = following[:k] == terms, following[k].adjusted() + 1
+        if not stable:  # out of lowest terms or off the terms: the chain restarts at n+1
+            following = cfe._hwm_chain(n + 1, p, value)[1]
+            stable = following[:k] == terms
+            next_len = following[k].adjusted() + 1 if len(following) > k else None
         checks.append(_check("prefix_stability", True, stable))
         checks.append(_check("hwm_length", predict.hwm_length(n), next_len))
 

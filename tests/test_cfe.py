@@ -295,8 +295,12 @@ def test_split_continuant_matches_the_recurrence(terms, leaf, as_decimals, conti
         mp.setattr(cfe, "_LEAF", leaf)
         seq = [to_decimal(t) for t in terms] if as_decimals else terms
         for s in (seq, seq[::-1]):
-            # equal strings: equal values, and Decimals with exponent 0
-            assert [str(v) for v in cfe._continuant(s)] == [str(v) for v in continuant(s)]
+            # equal values of one type, and Decimals with exponent 0: equal
+            # strings, without str() of 100,000-digit ints, which is quadratic
+            got, want = cfe._continuant(s), continuant(s)
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert all(v.as_tuple().exponent == 0 for v in got if isinstance(v, Decimal))
 
 
 @st.composite
@@ -335,7 +339,7 @@ def test_lehmer_quotients_match_plain_euclid(pair):
 
 
 def test_lehmer_quotients_on_short_form_and_long_operands():
-    # a short-form denominator, as _level_chain restarts on one, and operands
+    # a short-form denominator, as _hwm_chain restarts on one, and operands
     # of thousands of digits, where the batches carry nearly every step
     rng = random.Random(38)
     for _ in range(5):
@@ -454,7 +458,7 @@ def split_rationals(draw):
 
 
 def chain_step(terms, a, b, short=False):
-    """One step of cfe._level_chain from the cofactors of terms to the pair
+    """One step of cfe._hwm_chain from the cofactors of terms to the pair
     a/b: the jump, then Euclid on the rest; Euclid from the start when terms
     is empty."""
     (p, _), (q, q_prev) = cfe._continuant(terms), cfe._continuant(terms[1:])
@@ -489,11 +493,11 @@ def test_chain_step_matches_euclid_from_the_start(case, continuant):
 def test_level_chain_matches_the_int_expansion(truth_80k, int_expansion, continuant):
     # the chain as Decimal digit strings, and hwm_expansion as ints, against
     # the int oracle
-    value = Decimal(truth_80k.digits)
-    pairs = [cfe._short_pair(m, truth_80k.last_position, value) for m in range(4, 9)]
+    value, last = Decimal(truth_80k.digits), truth_80k.last_position
     for n in range(4, 9):
-        terms, q_prev, coprime = cfe._level_chain(pairs[: n - 3])
+        (a, b), terms, q_prev, coprime = cfe._hwm_chain(n, last, value)
         num, den, want = int_expansion(n, truth_80k)
+        assert (a, b) == cfe._short_pair(n, last, value)
         digits = [to_digits(t) for t in want]
         assert [str(t) for t in terms] == digits
         assert str(q_prev) == to_digits(continuant(want[1:])[1])
@@ -503,18 +507,25 @@ def test_level_chain_matches_the_int_expansion(truth_80k, int_expansion, continu
 
 
 @pytest.mark.parametrize("perturb", ["double", "shift"])
-def test_level_chain_restarts_off_the_chain(perturb, truth_80k, continuant):
+def test_level_chain_restarts_off_the_chain(perturb, monkeypatch, truth_80k, continuant):
     # level 6 doubled (out of lowest terms: level 7 restarts) or with its
     # denominator moved two places (off level 5's terms: level 6 restarts);
     # every later level still gives Euclid's terms, q_prev and gcd verdict
-    value = Decimal(truth_80k.digits)
-    pairs = [cfe._short_pair(m, truth_80k.last_position, value) for m in range(4, 9)]
-    a, b = pairs[2]
-    pairs[2] = (2 * a, 2 * b) if perturb == "double" else (a, b.scaleb(2))
+    value, last = Decimal(truth_80k.digits), truth_80k.last_position
+    real = cfe._short_pair
+
+    def pair(m, p, value):
+        a, b = real(m, p, value)
+        if m != 6:
+            return a, b
+        with localcontext(arith.EXACT):  # the default context rounds to 28 digits
+            return (2 * a, 2 * b) if perturb == "double" else (a, b.scaleb(2))
+
+    monkeypatch.setattr(cfe, "_short_pair", pair)
     for n in range(6, 9):
-        a, b = (int(v) for v in pairs[n - 4])
+        a, b = (int(v) for v in pair(n, last, value))
         want = hwm_split(cfe_extract(a, b))
-        assert cfe._level_chain(pairs[: n - 3]) == (
+        assert cfe._hwm_chain(n, last, value)[1:] == (
             want,
             continuant(want[1:])[1],
             math.gcd(a, b) == 1,

@@ -71,9 +71,7 @@ def test_level9_chain_matches_the_int_expansion(level9, int_expansion, continuan
     want = int_expansion(9, truth)[2]
     assert expanded == want
     value = Decimal(truth.digits)
-    pairs = [cfe._short_pair(m, truth.last_position, value) for m in range(4, 10)]
-    chain = cfe._level_chain(pairs)
-    terms, q_prev, coprime = chain
+    _, terms, q_prev, coprime = cfe._hwm_chain(9, truth.last_position, value)
     assert [str(t) for t in terms] == [to_digits(t) for t in want]
     assert coprime
     assert str(q_prev) == to_digits(continuant(want[1:])[1])

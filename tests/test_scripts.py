@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -38,10 +39,15 @@ def test_reproduce_tables_generation_rows_match_the_published_table(reproduce_ta
     assert rows == [(0, 1, 1), (4, 6, 1)] + [r for r in published if r[0] < 526]
 
 
-def test_bench_pairs_compare_applies_the_claim_rule():
+@pytest.fixture(scope="module")
+def bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_compare_applies_the_claim_rule(bench_pairs):
     parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
     faster = [p - 1 for p in parent]
     row = bench_pairs.compare(parent, faster, lower_is_better=True, bound=0.25)
@@ -56,3 +62,32 @@ def test_bench_pairs_compare_applies_the_claim_rule():
     # run of the change reads better than every run of the parent
     assert bench_pairs.compare(parent, close, True, bound=0.01)["verdict"] == "unresolved"
     assert bench_pairs.compare(parent, faster, True, bound=0.01)["verdict"] == "ok"
+
+
+def test_bench_pairs_judges_by_the_parents_gate(bench_pairs, tmp_path):
+    # the parent's bounds apply; a change that edits its own file is refused
+    # with one error line before any run
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    gate = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for d in (parent, change):
+        d.mkdir()
+        (d / "BENCHMARK.json").write_text(json.dumps(gate))
+    assert bench_pairs.load_gate(parent, change) == gate["end_to_end"]
+    for m in gate["end_to_end"]:
+        m["bound"] *= 2
+    (change / "BENCHMARK.json").write_text(json.dumps(gate))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(parent), str(change), "--workload", "small-requests"])
+    message = str(exc.value.code)
+    assert message.startswith("error:") and "\n" not in message
+
+
+def test_bench_pairs_compares_the_failed_share(bench_pairs):
+    # more failed ops than the parent, in share of the attempted, is worse
+    runs = [{"failed": 0, "attempted": 100}, {"failed": 1, "attempted": 900}]
+    same = [{"failed": 1, "attempted": 1000}, {"failed": 0, "attempted": 1}]
+    more = [{"failed": 2, "attempted": 1000}, {"failed": 0, "attempted": 1}]
+    assert bench_pairs.compare_failures(runs, same)["verdict"] == "ok"
+    row = bench_pairs.compare_failures(runs, more)
+    assert (row["parent"], row["verdict"]) == (0.001, "worse")
+    assert bench_pairs.compare_failures(more, runs)["verdict"] == "ok"

@@ -339,13 +339,16 @@ class TestNextLevelCheck:
         assert failed == {"prefix_stability": False, "hwm_length": 2}
 
     @staticmethod
-    def perturb(monkeypatch, double=None, shift=None):
+    def perturb(monkeypatch, double=None, shift=None, replace=None):
         """Double both halves of level double's pair, which keeps its value
-        and its terms, and move level shift's denominator two places, which
-        leaves its numerator as it was."""
+        and its terms, move level shift's denominator two places, which
+        leaves its numerator as it was, and give the levels in replace, a
+        dict, the pairs it maps them to."""
         real = cfe._short_pair
 
         def pair(m, p, value):
+            if replace and m in replace:
+                return replace[m]
             num, den = real(m, p, value)
             if m == shift:
                 return num, den.scaleb(2)
@@ -375,6 +378,18 @@ class TestNextLevelCheck:
         assert set(failed) == {"lowest_terms", "numerator_tail", "prefix_stability", "hwm_length"}
         assert failed["prefix_stability"] is False
         assert p.next_hwm_length == failed["hwm_length"] == 2
+
+    def test_next_level_shorter_than_this_one_is_reported(self, monkeypatch, capsys):
+        # level 8 as 1/3 leaves the level-7 terms, and Euclid from the start
+        # gives two terms: no term at the level-7 index, so no length
+        self.perturb(monkeypatch, replace={8: (Decimal(1), Decimal(3))})
+        p = verify_hwm(7, compute_error=False)
+        assert p.next_hwm_length is None
+        failed = {c.field: c.observed for c in p.violations()}
+        assert failed == {"prefix_stability": False, "hwm_length": None}
+        assert cli.main(["verify", "--hwm", "7", "--format", "json"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["next_hwm_length"] is None
 
     @pytest.mark.parametrize("perturbation", [{"double": 6}, {"shift": 6}])
     def test_level6_off_the_chain_leaves_later_levels_alone(self, monkeypatch, perturbation):

@@ -4,7 +4,8 @@ print them as tables: per-level summary, calculation efficiency, child
 lengths, child denominator blocks, and the generation classification.
 
 Everything up to level 8 runs in seconds; pass --deep to extend the
-summary through level 9.
+summary and efficiency tables through level 10, which verifies 68.9
+million constant digits: about 1 s in all.
 """
 
 import argparse
@@ -75,11 +76,13 @@ def generation_table(terms):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--deep", action="store_true", help="extend through level 9")
+    parser.add_argument(
+        "--deep", action="store_true", help="extend the per-level tables through level 10"
+    )
     args = parser.parse_args()
 
     start = time.perf_counter()
-    levels = range(4, 10 if args.deep else 9)
+    levels = range(4, 11 if args.deep else 9)
     profiles = level_summary(levels)
     efficiency(profiles)
 

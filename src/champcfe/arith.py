@@ -4,7 +4,8 @@ The conversions work on plain Python ints: above a few thousand digits
 they split the operand in halves, which stays sub-quadratic where
 CPython's own int/str conversions are quadratic. EXACT, _exact_quotient
 and _product are the exact Decimal arithmetic that the expansion and the
-verifier run on.
+verifier run on, and _divmod is the division that Euclid's long quotients
+take.
 """
 
 from __future__ import annotations
@@ -94,6 +95,33 @@ def _exact_quotient(a: decimal.Decimal, b: decimal.Decimal | int) -> decimal.Dec
     if remainder:
         raise ArithmeticError("the divisor does not divide the dividend exactly")
     return quotient
+
+
+# from two libmpdec words on, a quotient pays for _divmod's split
+_LONG_QUOTIENT = 2 * 19
+
+
+def _divmod(a: decimal.Decimal, b: decimal.Decimal) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """divmod(a, b) for integral Decimals a >= 0 < b, under EXACT.
+
+    Where b is B * 10**s with s > 0, held as a positive exponent or as
+    trailing zeros, and the quotient has _LONG_QUOTIENT digits or more, the
+    division runs on B alone: q = floor(floor(a / 10**s) / B) and r = that
+    division's remainder times 10**s plus a mod 10**s, both with exponent 0.
+    libmpdec's divmod would first write the s zeros back into b and then
+    cost as much as a division by a divisor of b's full width."""
+    with decimal.localcontext(EXACT):
+        if a.adjusted() - b.adjusted() >= _LONG_QUOTIENT:
+            short = b.normalize()  # B held with exponent s
+            s = (short * 0).adjusted()  # a zero's adjusted() is its exponent
+            if s > 0:
+                # exact floor: to_integral_value signals neither Inexact nor Rounded
+                hi = a.scaleb(-s).to_integral_value(decimal.ROUND_FLOOR)
+                q, r = divmod(hi, short.scaleb(-s))
+                # a mod 10**s at exponent 0 keeps the remainder at exponent 0: a
+                # long operand off exponent 0 makes every later step realign it
+                return q, r.scaleb(s) + (a - hi.scaleb(s)).quantize(1)
+        return divmod(a, b)
 
 
 # libmpdec multiplies schoolbook while the shorter factor has at most 256

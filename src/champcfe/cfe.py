@@ -75,7 +75,9 @@ def _lehmer_quotients(a: Decimal, b: Decimal) -> list[Decimal]:
     that give the remainders as A*a + B*b and C*a + D*b. Those four short
     multiplies then stand for every step of the batch. Where no quotient
     is certain, as at a long quotient or a b far shorter than a, and
-    below _LEHMER_DIGITS digits, one full divmod takes the step.
+    below _LEHMER_DIGITS digits, one arith._divmod takes the step: a long
+    quotient by a b in short form, such as the HWM term by _remainder_pair's
+    y, divides by b's significant digits only.
     """
     terms: list[Decimal] = []
     while b:
@@ -98,7 +100,7 @@ def _lehmer_quotients(a: Decimal, b: Decimal) -> list[Decimal]:
             if not a > b >= 0:  # a wrong batch would leave Euclid looping forever
                 raise ArithmeticError("a Lehmer batch left the remainder sequence")
         else:
-            q, r = divmod(a, b)
+            q, r = arith._divmod(a, b)
             terms.append(q)
             a, b = b, r
     return terms

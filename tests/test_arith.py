@@ -160,3 +160,40 @@ def test_product_is_the_exact_product_in_any_context(a, b, swap):
     # str() shows any exponent, so equal strings prove exponent 0
     assert got == got_28 == want
     assert str(got) == str(got_28) == str(want)
+
+
+@st.composite
+def near_multiples(draw):
+    """(a, b) with b = B * 10**s, held at exponent s or at exponent 0, and
+    a = q*b + r at exponent 0 for a quotient of 1 to 200 times B's digits
+    and r in {0, 1, b - 1}: the near multiples where a floor that is one
+    off would show. An exact multiple may be held with its trailing zeros
+    as exponent, as Euclid meets a short-form remainder as a dividend."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 40))
+    B = Decimal(rng.randrange(10 ** (n - 1), 10**n))
+    s = draw(st.one_of(st.integers(0, 3000), st.sampled_from([0, 1, 2, 19, 38, 3000])))
+    length = n * draw(st.integers(1, 200))
+    q = Decimal(rng.randrange(10 ** (length - 1), 10**length))
+    with decimal.localcontext(arith.EXACT):
+        b = B.scaleb(s)
+        r = draw(st.sampled_from([Decimal(0), Decimal(1), b - 1]))
+        a = (q * b + r).quantize(1)
+        if not r and draw(st.booleans()):
+            a = a.normalize()
+        if draw(st.booleans()):
+            b = b.quantize(1)
+    return a, b
+
+
+@given(pair=near_multiples())
+@settings(max_examples=300, deadline=None)
+def test_divmod_matches_plain_divmod_with_exponent_0(pair):
+    a, b = pair
+    with decimal.localcontext(arith.EXACT):
+        want = divmod(a, b)
+    got = arith._divmod(a, b)
+    assert got == want
+    # divmod leaves r at the smaller exponent of a and b; a split, at 0
+    if a.same_quantum(Decimal(1)) or a.adjusted() - b.adjusted() >= arith._LONG_QUOTIENT:
+        assert all(v.same_quantum(Decimal(1)) for v in got)

@@ -340,14 +340,22 @@ def test_lehmer_quotients_match_plain_euclid(pair):
 
 def test_lehmer_quotients_on_short_form_and_long_operands():
     # a short-form denominator, as _hwm_chain restarts on one, and operands
-    # of thousands of digits, where the batches carry nearly every step
+    # of thousands of digits, where the batches carry nearly every step; then
+    # the HWM term's shape, a long quotient by 15 significant digits times a
+    # power of ten. Each divisor is held in short form and at exponent 0.
     rng = random.Random(38)
-    for _ in range(5):
-        a, b = rng.randrange(10**3000), rng.randrange(1, 10**2990)
-        b10 = b * 10**40
+    cases = [(rng.randrange(10**3000), rng.randrange(1, 10**2990), 40) for _ in range(5)]
+    for s in (1, 40, 2885):
+        b = rng.randrange(10**14, 10**15)
+        cases.append((rng.randrange(10**3000) * b * 10**s + rng.randrange(b * 10**s), b, s))
+    for a, b, s in cases:
+        want = [str(q) for q in cfe_extract(a, b * 10**s)]
         with localcontext(arith.EXACT):
-            got = cfe._lehmer_quotients(Decimal(a), Decimal(b).scaleb(40))
-        assert [str(q) for q in got] == [str(q) for q in cfe_extract(a, b10)]
+            short = Decimal(b).scaleb(s)
+            for held in (short, short.quantize(1)):
+                got = cfe._lehmer_quotients(Decimal(a), held)
+                assert [str(q) for q in got] == want
+                assert all(q.same_quantum(Decimal(1)) for q in got)
 
 
 def hwm_split(terms):

@@ -1,12 +1,15 @@
 """The deepest verification levels.
 
-Level 9 runs in the default tier (its verification in about 0.3 s): it
-reproduces the published NCD 5,888,883 and error 9.00001E-5,888,890,
-plus the level-10 jump that exposes the 4,911,098-digit coefficient,
-matches the level chain and hwm_expansion against the int oracle, and
-confirms the child at coefficient 1221. Marked deep, and excluded by
-default: the full verifications of levels 10 and 11, on 68.9 and 788.9
-million constant digits, the level-10 coefficients computed through
+Levels 9 and 10 run in the default tier. Level 9 (its verification in
+about 0.05 s) reproduces the published NCD 5,888,883 and error
+9.00001E-5,888,890, plus the level-10 jump that exposes the
+4,911,098-digit coefficient, matches the level chain and hwm_expansion
+against the int oracle, and confirms the child at coefficient 1221.
+Level 10's full verification, on 68.9 million constant digits, takes
+about 1 s: its chain divides the 4.9 M-digit HWM #9 term by the short
+form of its divisor. Marked deep, and excluded by default: the full
+verification of level 11, on 788.9 million constant digits, the
+level-10 coefficients computed through
 hwm_expansion, which reproduce the published generation table below index 4,838, the file
 `compute --hwm 10 --deep` writes, certified by its continuants to be the
 expansion of the predicted pair and then read back to verify the child
@@ -88,7 +91,6 @@ def test_level9_child_1221(level9):
     print("\ndeep: child at 1221 confirmed, shape 33/449967/32/2885")
 
 
-@pytest.mark.deep
 def test_level10_full_verification():
     p = verify_hwm(10, compute_error=True, check_next_hwm=True)
     assert p.status == "confirmed"
@@ -160,7 +162,8 @@ def test_level10_child_3569_through_the_cli(tmp_path, capsys):
 
 @pytest.mark.deep
 def test_level11_full_verification():
-    # about 62 s at 1.8 GB: 7.9e8 constant digits and the level-12 length
+    # about 19 s at 1.8 GB (41 s while the chain's long quotients divided by
+    # the zero-padded divisor): 7.9e8 constant digits and the level-12 length
     p = verify_hwm(11, compute_error=True, check_next_hwm=True, max_digits=9 * 10**8)
     assert p.status == "confirmed"
     assert all(c.ok for c in p.checks)
@@ -176,7 +179,9 @@ def test_level11_full_verification():
 @pytest.fixture(scope="module")
 def level11(tmp_path_factory):
     """(coefficient file, numerator file) from one `compute --hwm 11 --deep
-    --emit-numerator` run: about 48 s at 435 MB max RSS, paid once per module."""
+    --emit-numerator` run: about 12 s at 293 MB max RSS (43 s at 435 MB while
+    the chain's long quotients divided by the zero-padded divisor), paid once
+    per module."""
     out = tmp_path_factory.mktemp("level11")
     coefficients, numerator = out / "c11.txt", out / "num11.txt"
     argv = ["compute", "--hwm", "11", "--deep", "--emit-numerator", "--out", str(coefficients)]

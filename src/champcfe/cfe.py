@@ -7,8 +7,8 @@ the slow digit-truncation method kept as an efficiency baseline.
 
 from __future__ import annotations
 
+import bisect
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
@@ -179,52 +179,40 @@ def _continuant(seq: Sequence) -> tuple:
     outside the program go through _check_terms first.
 
     seq holds ints or integral Decimals (then under arith.EXACT), and so
-    does the result, Decimals with exponent 0. Under _LEAF digits in all,
-    one _batched_pass; above, the product of the term matrices [[a, 1],
-    [1, 0]] splits where the running digit total crosses half the total, so
-    a term longer than the rest together meets one row, not every run after
-    it. Decimal products go through arith._product."""
+    does the result, Decimals with exponent 0. It is the first row of the
+    product of the term matrices [[a, 1], [1, 0]], from _split: one
+    recursion that returns one row or both. Decimal products go through
+    arith._product."""
     zero = type(seq[0])(0) if seq else 0
     if isinstance(zero, Decimal):
         sizes, mul = [t.adjusted() + 1 for t in seq], arith._product
     else:  # about 0.3 digits a bit
         sizes, mul = [t.bit_length() * 3 // 10 + 1 for t in seq], operator.mul
-    if sum(sizes) < _LEAF:
-        return _batched_pass(seq, zero, mul)
-    return _split_row(seq, list(accumulate(sizes, initial=0)), zero, mul, 0, len(seq))
+    cum = list(accumulate(sizes, initial=0))
+    return _split(seq, cum, zero, mul, 0, len(seq), 1)[0]
 
 
 # The split recurses at module level, as arith's conversions do: a nested
 # function that calls itself would keep the terms alive through its closure.
 
 
-def _split_row(seq, cum, zero, mul, lo, hi) -> tuple:
-    """_continuant of seq[lo:hi], cum the running digit totals: the row
-    before the split term h, times h's matrix, times the matrix after h."""
-    if cum[hi] - cum[lo] < _LEAF:
-        return _batched_pass(seq[lo:hi], zero, mul)
-    h = bisect_right(cum, (cum[lo] + cum[hi]) // 2, lo + 1, hi + 1) - 1
-    r0, r1 = _split_row(seq, cum, zero, mul, lo, h)
-    x = mul(r0, seq[h]) + r1
-    (m00, m01), (m10, m11) = _split_matrix(seq, cum, zero, mul, h + 1, hi)
-    return mul(x, m00) + mul(r0, m10), mul(x, m01) + mul(r0, m11)
-
-
-def _split_matrix(seq, cum, zero, mul, lo, hi) -> tuple:
-    """The matrix product ((K(s), K(s[:-1])), (K(s[1:]), K(s[1:-1]))) of
-    s = seq[lo:hi], split as in _split_row; a leaf passes over s and s[1:]."""
+def _split(seq, cum, zero, mul, lo, hi, rows) -> tuple:
+    """The top row, or with rows=2 both rows, of the product of the term
+    matrices of s = seq[lo:hi]: ((K(s), K(s[:-1])), (K(s[1:]), K(s[1:-1]))),
+    cum the running digit totals. Under _LEAF digits, one _batched_pass per
+    row, over s and s[1:]. Above, the product splits at the term h where
+    the running total crosses half the total: the rows before h times h's
+    matrix, times the full matrix after h. So a term longer than all the
+    others together meets the one row _continuant asks for, not every run
+    after it."""
     if lo == hi:
-        return (zero + 1, zero), (zero, zero + 1)
+        return ((zero + 1, zero), (zero, zero + 1))[:rows]
     if cum[hi] - cum[lo] < _LEAF:
-        return _batched_pass(seq[lo:hi], zero, mul), _batched_pass(seq[lo + 1 : hi], zero, mul)
-    h = bisect_right(cum, (cum[lo] + cum[hi]) // 2, lo + 1, hi + 1) - 1
-    (l00, l01), (l10, l11) = _split_matrix(seq, cum, zero, mul, lo, h)
-    l00, l01, l10, l11 = mul(l00, seq[h]) + l01, l00, mul(l10, seq[h]) + l11, l10
-    (r00, r01), (r10, r11) = _split_matrix(seq, cum, zero, mul, h + 1, hi)
-    return (
-        (mul(l00, r00) + mul(l01, r10), mul(l00, r01) + mul(l01, r11)),
-        (mul(l10, r00) + mul(l11, r10), mul(l10, r01) + mul(l11, r11)),
-    )
+        return tuple(_batched_pass(seq[i:hi], zero, mul) for i in range(lo, lo + rows))
+    h = bisect.bisect_right(cum, (cum[lo] + cum[hi]) // 2, lo + 1, hi + 1) - 1
+    left = [(mul(a, seq[h]) + b, a) for a, b in _split(seq, cum, zero, mul, lo, h, rows)]
+    (r00, r01), (r10, r11) = _split(seq, cum, zero, mul, h + 1, hi, 2)
+    return tuple((mul(a, r00) + mul(b, r10), mul(a, r01) + mul(b, r11)) for a, b in left)
 
 
 def _batched_pass(seq: Sequence, zero, mul) -> tuple:

@@ -403,7 +403,9 @@ def verify_child(
     residual takes V·den from those blocks, not from the whole denominator.
 
     terms are ints or integral Decimals, such as Decimal of a coefficient
-    file's lines; the arithmetic runs on exact Decimals either way.
+    file's lines; the arithmetic runs on exact Decimals either way. The
+    digits the error needs depend only on the prediction, so a need past
+    max_digits raises DigitBudgetError before any long arithmetic.
     """
     k = coefficient_index
     if not 1 <= k <= len(terms):
@@ -426,13 +428,14 @@ def verify_child(
     p_err = predict.child_error_profile(m)
     p_shape = predict.child_denominator_shape(m)
     p_len = predict.child_length(m - 1)
-
-    with localcontext(arith.EXACT):
-        cfe._check_terms(head[:k])
-        num, den = cfe._continuant(head[:k][::-1])
-
     exp = -p_err.exponent
     need = exp + len(p_err.digits) + 1 + GUARD_DIGITS
+    cfe._check_terms(head[:k])
+    digits._check_budget(need, max_digits)
+
+    with localcontext(arith.EXACT):
+        num, den = cfe._continuant(head[:k][::-1])
+
     value = digits._truth_value(need, max_digits)
     shape = predict.parse_denominator_shape(str(den))  # exponent 0: its digits
 

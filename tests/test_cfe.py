@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from champcfe import (
@@ -282,11 +282,25 @@ def planted_lists(draw):
     return seq
 
 
+# a long last term leaves the split's right side empty: at the top, and in
+# the matrix call for the terms after a long first term; reversed, each
+# list also runs the other way round
+_LONG_LAST = [3, 1, 4, 1, 5, 10**3000 + 7]
+_LONG_FIRST_AND_LAST = [10**3000 + 3, 2, 7, 10**1000 + 9]
+_LONG_FIRST = [10**3000 + 1, 1, 2, 3, 10**40 + 1]
+
+
 @given(
     terms=planted_lists(),
     leaf=st.sampled_from([1, 2000, 30_000, 100_000]),
     as_decimals=st.booleans(),
 )
+@example(terms=_LONG_LAST, leaf=1000, as_decimals=False)
+@example(terms=_LONG_LAST, leaf=1000, as_decimals=True)
+@example(terms=_LONG_FIRST_AND_LAST, leaf=500, as_decimals=False)
+@example(terms=_LONG_FIRST_AND_LAST, leaf=500, as_decimals=True)
+@example(terms=_LONG_FIRST, leaf=1000, as_decimals=False)
+@example(terms=_LONG_FIRST, leaf=1000, as_decimals=True)
 @settings(max_examples=30, deadline=None)
 def test_split_continuant_matches_the_recurrence(terms, leaf, as_decimals, continuant):
     # a small leaf makes the split run at test scale; the Decimal oracle is
@@ -301,6 +315,34 @@ def test_split_continuant_matches_the_recurrence(terms, leaf, as_decimals, conti
             assert got == want
             assert [type(v) for v in got] == [type(v) for v in want]
             assert all(v.as_tuple().exponent == 0 for v in got if isinstance(v, Decimal))
+
+
+@given(
+    short=st.lists(st.integers(1, 10**40), max_size=30),
+    at=st.integers(0, 30),
+    extra=st.integers(19, 3000),
+    leaf=st.sampled_from([1, 2000, 100_000]),
+)
+@settings(max_examples=30, deadline=None)
+def test_a_term_longer_than_the_rest_meets_one_product(short, at, extra, leaf):
+    # the split falls at such a term, and _continuant asks _split for one
+    # row: that row times the term is its only product; both rows would
+    # take it into two
+    with localcontext(arith.EXACT):
+        long = Decimal(1).scaleb(sum(len(str(t)) for t in short) + extra) + 1
+        seq = [Decimal(t) for t in short]
+    seq.insert(at, long)
+    product, hits = arith._product, []
+
+    def counted(a, b):
+        hits.append(a is long or b is long)
+        return product(a, b)
+
+    with pytest.MonkeyPatch.context() as mp, localcontext(arith.EXACT):
+        mp.setattr(cfe, "_LEAF", leaf)
+        mp.setattr(arith, "_product", counted)
+        cfe._continuant(seq)
+    assert sum(hits) == 1
 
 
 @st.composite

@@ -279,6 +279,16 @@ class TestVerifyChild:
         num, den = (arith.to_digits(continuant(s)[0]) for s in (terms[:k], terms[1:k]))
         assert [tuple(map(str, pair)) for pair in seen] == [(num, den)]
 
+    def test_budget_is_refused_before_the_continuant(self, monkeypatch, level8_terms):
+        # the error's digits follow from the prediction alone, so a child
+        # past the budget does no long arithmetic before it is refused
+        def refuse(seq):
+            raise AssertionError("the continuant ran before the budget check")
+
+        monkeypatch.setattr(cfe, "_continuant", refuse)
+        with pytest.raises(DigitBudgetError):
+            verify_child(357, level8_terms, max_digits=0)
+
     def test_rejects_a_fractional_decimal_term(self, level8_terms):
         terms = [Decimal(t) for t in level8_terms[:102]]
         terms[50] += Decimal("0.5")

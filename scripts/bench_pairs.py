@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """Run the benchmark in two checkouts, alternating, and compare them.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload small-requests \\
+    python3 scripts/bench_pairs.py PARENT CHANGE [--workload small-requests ...] \\
         [--pairs 10] [--seconds 40]
 
-Each pair runs `champbench/run.py --trace 0` once in each checkout, with
-the pair number as the seed: the parent first in odd pairs, the change
-first in even ones. Every run's last JSON line is printed as it comes.
-The gate is the parent's BENCHMARK.json, and a change whose file differs
-is refused. Each side's failed-op share (failed over attempted ops, over
-all its runs) is printed, worse where the change's is higher. Then, per
-end-to-end metric, the table gives the parent's median and interquartile
-range, the change's median, how many pairs the change won (ties count for
-neither side), the change against its bound, and whether a gain could
-be claimed: the change won at least nine pairs in ten and its median is
-better than the parent's by more than the parent's interquartile range.
+--workload may be given more than once; without it every workload of the
+parent's BENCHMARK.json runs, one after another. Each pair runs
+`champbench/run.py --trace 0` once in each checkout, with the pair number
+as the seed: the parent first in odd pairs, the change first in even ones.
+Every run's last JSON line is printed as it comes, and each workload's
+table follows its last pair. The gate is the parent's BENCHMARK.json, and
+a change whose file differs is refused. Each side's failed-op share
+(failed over attempted ops, over all its runs) is printed, worse where the
+change's is higher. Then, per end-to-end metric, the table gives the
+parent's median and interquartile range, the change's median, how many
+pairs the change won (ties count for neither side), the change against
+its bound, and whether a gain could be claimed: the change won at least
+nine pairs in ten and its median is better than the parent's by more than
+the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -85,27 +88,23 @@ def compare(parent: list[float], change: list[float], lower_is_better: bool,
             "claim": 10 * wins >= 9 * len(parent) and gain > iqr}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=40.0)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
-    spec = load_gate(args.parent, args.change)
-
+def run_pairs(parent: Path, change: Path, workload: str, pairs: int,
+              seconds: float) -> dict[str, list[dict]]:
     runs = {"parent": [], "change": []}
-    for pair in range(1, args.pairs + 1):
+    checkouts = {"parent": parent, "change": change}
+    for pair in range(1, pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
-            result = run_once(getattr(args, side), args.workload, pair, args.seconds)
+            result = run_once(checkouts[side], workload, pair, seconds)
             runs[side].append(result)
-            print(f"pair {pair} {side}: {json.dumps(result)}", flush=True)
+            print(f"{workload} pair {pair} {side}: {json.dumps(result)}", flush=True)
+    return runs
 
-    print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s; median parent -> "
+
+def print_table(workload: str, runs: dict[str, list[dict]], spec: list[dict],
+                seconds: float) -> None:
+    pairs = len(runs["parent"])
+    print(f"\n{workload}: {pairs} pairs of {seconds:g} s; median parent -> "
           f"change, parent IQR, change better in wins/pairs")
     failures = compare_failures(runs["parent"], runs["change"])
     for side, results in runs.items():
@@ -122,7 +121,26 @@ def main(argv=None) -> int:
         print(f"  {name:<12} {row['parent_median']:.4g} -> {row['change_median']:.4g} "
               f"({100 * row['rel']:+.1f}%), IQR {row['parent_iqr']:.3g}, "
               f"[{row['wins']}/{row['pairs']}], bound {100 * m['bound']:g}%: "
-              f"{row['verdict']}, claim {'holds' if row['claim'] else 'not met'}")
+              f"{row['verdict']}, claim {'holds' if row['claim'] else 'not met'}", flush=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", action="append",
+                        help="repeatable; default: every workload of the parent's BENCHMARK.json")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=40.0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    spec = load_gate(args.parent, args.change)
+    workloads = args.workload or [
+        w["name"] for w in json.loads((args.parent / "BENCHMARK.json").read_text())["workloads"]]
+    for workload in workloads:
+        runs = run_pairs(args.parent, args.change, workload, args.pairs, args.seconds)
+        print_table(workload, runs, spec, args.seconds)
     return 0
 
 

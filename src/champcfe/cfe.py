@@ -166,7 +166,8 @@ _LEAF = 100_000  # _continuant splits terms whose digits total at least this
 
 
 def _check_terms(seq: Sequence) -> None:
-    if any(a < 1 for a in seq[1:]):
+    # a term may be a coefficient file's line, where only "0" is below 1
+    if any(a == "0" if isinstance(a, str) else a < 1 for a in seq[1:]):
         raise ValueError("coefficients after the first must be >= 1")
 
 

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from decimal import Decimal
 from pathlib import Path
 
 from . import cfe, digits, generations, predict, verify
@@ -191,9 +190,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_child(args: argparse.Namespace) -> int:
     k = args.coefficient_index
     with open(args.coefficients, newline="") as fp:
-        # verify_child reads terms 0..k only, and no line outlives this list
-        terms = [Decimal(s) for s in cfe._coefficient_lines(fp)[: k + 1]]  # exact in any context
-    profile = verify.verify_child(k, terms, max_digits=args.max_digits)
+        lines = cfe._coefficient_lines(fp)[: k + 1]  # verify_child reads terms 0..k only
+    profile = verify.verify_child(k, lines, max_digits=args.max_digits)
     return _emit_profile(profile, args)
 
 
@@ -254,7 +252,94 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_OUT = ("--out", {"default": None})
+_DEEP = ("--deep", {"action": "store_true"})
+
+
+def _required_int(flag: str) -> tuple:
+    return flag, {"type": int, "required": True}
+
+
+def _format(*choices: str) -> tuple:
+    return "--format", {"choices": choices, "default": "text"}
+
+
+# Each subcommand as (name, help, options): cmd_<name> handles it, and its
+# options are (flag, add_argument keywords) pairs in help order.
+COMMANDS = (
+    ("digits", "write constant digits up to a position", (_required_int("--position"), _OUT)),
+    (
+        "predict",
+        "closed-form predictions for a level",
+        (
+            _required_int("--hwm"),
+            ("--child", {"action": "store_true"}),
+            _format("text", "json", "csv"),
+            _OUT,
+        ),
+    ),
+    (
+        "compute",
+        "compute coefficients up to a level",
+        (
+            _required_int("--hwm"),
+            ("--out", {"required": True}),
+            ("--emit-numerator", {"action": "store_true"}),
+            _DEEP,
+        ),
+    ),
+    (
+        "verify",
+        "verify the predictions for a level",
+        (
+            _required_int("--hwm"),
+            ("--error", {"action": "store_true", "help": "measure the error too"}),
+            ("--no-next", {"action": "store_true", "help": "skip the next-level check"}),
+            _DEEP,
+            _format("text", "json"),
+            _OUT,
+        ),
+    ),
+    (
+        "classify",
+        "assign generations to coefficients",
+        (("--coefficients", {"required": True}), _format("text", "csv", "json"), _OUT),
+    ),
+    (
+        "child",
+        "verify a child convergent from coefficients",
+        (
+            _required_int("--coefficient-index"),
+            ("--coefficients", {"required": True}),
+            _format("text", "json"),
+            _OUT,
+        ),
+    ),
+    (
+        "bench",
+        "time verify_hwm per level",
+        (
+            _required_int("--max-hwm"),
+            ("--error", {"action": "store_true"}),
+            _DEEP,
+            _format("text", "json"),
+            _OUT,
+        ),
+    ),
+)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for one command line, argv (sys.argv[1:] when None).
+
+    Every subcommand is registered, so top-level help, usage and an
+    unknown command read the same for any argv. Options go only to the
+    subcommands named by a token of argv: argparse picks a subparser by an
+    exact token alone, so the one that parses is always complete, and a
+    call does not pay for the other six. Handlers are looked up by name
+    here, not bound at import, so a rebound cmd_* attribute is the one
+    that runs."""
+    tokens = set(sys.argv[1:] if argv is None else argv)
     parser = _Parser(
         prog="champcfe",
         description="Champernowne base-10 continued-fraction toolkit",
@@ -266,61 +351,17 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"digit budget override (also env {ENV_BUDGET})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("digits", help="write constant digits up to a position")
-    p.add_argument("--position", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_digits)
-
-    p = sub.add_parser("predict", help="closed-form predictions for a level")
-    p.add_argument("--hwm", type=int, required=True)
-    p.add_argument("--child", action="store_true")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_predict)
-
-    p = sub.add_parser("compute", help="compute coefficients up to a level")
-    p.add_argument("--hwm", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--emit-numerator", action="store_true")
-    p.add_argument("--deep", action="store_true")
-    p.set_defaults(handler=cmd_compute)
-
-    p = sub.add_parser("verify", help="verify the predictions for a level")
-    p.add_argument("--hwm", type=int, required=True)
-    p.add_argument("--error", action="store_true", help="measure the error too")
-    p.add_argument("--no-next", action="store_true", help="skip the next-level check")
-    p.add_argument("--deep", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("classify", help="assign generations to coefficients")
-    p.add_argument("--coefficients", required=True)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("child", help="verify a child convergent from coefficients")
-    p.add_argument("--coefficient-index", type=int, required=True)
-    p.add_argument("--coefficients", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_child)
-
-    p = sub.add_parser("bench", help="time verify_hwm per level")
-    p.add_argument("--max-hwm", type=int, required=True)
-    p.add_argument("--error", action="store_true")
-    p.add_argument("--deep", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_bench)
-
+    for name, help_text, options in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if name in tokens:
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(handler=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help

@@ -11,7 +11,7 @@ machine-readable field diff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from decimal import Decimal, localcontext
+from decimal import Decimal, InvalidOperation, localcontext
 from functools import partial
 from typing import Callable, Sequence
 
@@ -390,9 +390,24 @@ class ChildProfile(_Profile):
     checks: list[FieldCheck] = field(default_factory=list)
 
 
+def _line_term(i: int, line: str) -> Decimal:
+    """Term i, given as a coefficient file's line, as an exact Decimal of
+    exponent 0. Only its length was read before: it must be digits alone,
+    so its value has exactly as many digits as the line has characters."""
+    try:
+        term = Decimal(line)  # exact in any context
+    except InvalidOperation:
+        term = None
+    if term is None or term.is_signed() or not term.same_quantum(1) or (
+        term.adjusted() + 1 != len(line)
+    ):
+        raise ValueError(f"term {i}: not a decimal coefficient: {line!r}")
+    return term
+
+
 def verify_child(
     coefficient_index: int,
-    terms: Sequence[int | Decimal],
+    terms: Sequence[int | Decimal | str],
     *,
     max_digits: int = DEFAULT_DIGIT_BUDGET,
 ) -> ChildProfile:
@@ -402,10 +417,11 @@ def verify_child(
     penultimate / zeroes, and score everything against the predictors. The
     residual takes V·den from those blocks, not from the whole denominator.
 
-    terms are ints or integral Decimals, such as Decimal of a coefficient
-    file's lines; the arithmetic runs on exact Decimals either way. The
-    digits the error needs depend only on the prediction, so a need past
-    max_digits raises DigitBudgetError before any long arithmetic.
+    terms are ints, integral Decimals or a coefficient file's lines (digit
+    strings); the arithmetic runs on exact Decimals either way. The digits
+    the error needs depend only on the prediction, so a need past
+    max_digits raises DigitBudgetError before any long arithmetic, and
+    before any digit string is converted.
     """
     k = coefficient_index
     if not 1 <= k <= len(terms):
@@ -414,10 +430,12 @@ def verify_child(
         # exponent 0, so str() of a product is its digits; a fractional term
         # raises Inexact instead of rounding
         head = [
-            t.quantize(1) if isinstance(t, Decimal) else arith.to_decimal(t)
+            t if isinstance(t, str)
+            else t.quantize(1) if isinstance(t, Decimal)
+            else arith.to_decimal(t)
             for t in terms[: k + 1]
         ]
-    lengths = [t.adjusted() + 1 for t in head]
+    lengths = [len(t) if isinstance(t, str) else t.adjusted() + 1 for t in head]
     maxima = generations.find_hwms(lengths[:k])
     if len(maxima) < 2:
         raise ValueError("no first-generation maximum precedes the index")
@@ -432,6 +450,7 @@ def verify_child(
     need = exp + len(p_err.digits) + 1 + GUARD_DIGITS
     cfe._check_terms(head[:k])
     digits._check_budget(need, max_digits)
+    head = [_line_term(i, t) if isinstance(t, str) else t for i, t in enumerate(head)]
 
     with localcontext(arith.EXACT):
         num, den = cfe._continuant(head[:k][::-1])

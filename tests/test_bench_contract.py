@@ -49,3 +49,18 @@ def test_one_traced_pass_matches_the_oracle(prog, workload, tmp_path, monkeypatc
     finally:
         undo()
     assert (len(res.latency_s), res.failed) == (len(ops), 0), res.problems[:5]
+
+
+def test_a_traced_main_spans_its_handler(prog, capsys):
+    # build_parser looks cmd_* up when it runs, so the tracer's wrapper is
+    # the handler that runs, under main's span
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer, prog.layers(), [prog.package, *prog.layers()])
+    try:
+        assert prog.cli.main(["predict", "--hwm", "5", "--format", "json"]) == 0
+    finally:
+        undo()
+    capsys.readouterr()
+    names = [s[tracing.NAME] for s in tracer.spans]
+    handler = tracer.spans[names.index("cli.cmd_predict")]
+    assert tracer.spans[handler[tracing.PARENT]][tracing.NAME] == "cli.main"

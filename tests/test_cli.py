@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from champcfe import cfe, predict, verify
-from champcfe.cli import main
+from champcfe import cfe, cli, predict, verify
+from champcfe.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -462,3 +463,19 @@ class TestErrors:
         code, _, err = run(capsys, "classify", "--coefficients", "/nonexistent/f")
         assert code == 1
         assert "error:" in err
+
+
+class TestParser:
+    def test_only_the_named_subcommand_gets_options(self):
+        parser = build_parser(["predict", "--hwm", "7"])
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+        assert dests.pop("predict") == ["help", "hwm", "child", "format", "out"]
+        assert dests == {name: ["help"] for name, _, _ in cli.COMMANDS if name != "predict"}
+
+    def test_a_command_name_as_an_option_value_runs_the_command(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "digits", "--position", "5", "--out", "verify") == (0, "", "")
+        assert (tmp_path / "verify").read_text() == "012345\n"

@@ -6,6 +6,9 @@ first-child special cases were consolidated; any change to what a user
 sees fails here. `{c8}` stands for a level-8 coefficient file. A compute
 case locks the pair (stdout, written coefficient file), recorded before
 the odd-index split moved into cfe.hwm_expansion; `{out}` is that file.
+The help and usage-error cases lock stdout and stderr respectively, at
+COLUMNS=80 on CPython 3.11, recorded before the parser was built from a
+command table.
 """
 
 import hashlib
@@ -46,6 +49,29 @@ def compute_cases() -> list[str]:
     return [f"compute --hwm {n} --out {{out}} --emit-numerator" for n in range(4, 9)]
 
 
+COMMANDS = ("digits", "predict", "compute", "verify", "classify", "child", "bench")
+
+
+def help_cases() -> list[str]:
+    return ["--help"] + [f"{name} --help" for name in COMMANDS]
+
+
+def usage_error_cases() -> list[str]:
+    return [
+        "verify --hwm x",
+        "frobnicate",
+        "compute --hwm 8",
+        "verify --hwm 5 --bogus",
+        "predict --hwm 7 --format xml",
+        "verify",
+        "--max-digits x verify --hwm 4",
+    ]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def stdout_sha256(capsys, case: str, c8: Path) -> tuple[int, str]:
     code = main(case.format(c8=c8).split())
     out = capsys.readouterr().out
@@ -65,12 +91,29 @@ def lock():
 
 
 def test_lock_covers_every_case(lock):
-    assert sorted(lock) == sorted(lock_cases() + compute_cases())
+    cases = lock_cases() + compute_cases() + help_cases() + usage_error_cases()
+    assert sorted(lock) == sorted(cases)
 
 
 @pytest.mark.parametrize("case", lock_cases())
 def test_stdout_is_unchanged(capsys, c8, lock, case):
     assert stdout_sha256(capsys, case, c8) == (0, lock[case])
+
+
+@pytest.mark.parametrize("case", help_cases())
+def test_help_is_unchanged(capsys, monkeypatch, lock, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(case.split())
+    captured = capsys.readouterr()
+    assert (code, sha256(captured.out), captured.err) == (0, lock[case], "")
+
+
+@pytest.mark.parametrize("case", usage_error_cases())
+def test_usage_error_is_unchanged(capsys, monkeypatch, lock, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(case.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out, sha256(captured.err)) == (1, "", lock[case])
 
 
 @pytest.mark.parametrize("case", compute_cases())

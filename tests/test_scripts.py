@@ -91,3 +91,40 @@ def test_bench_pairs_compares_the_failed_share(bench_pairs):
     row = bench_pairs.compare_failures(runs, more)
     assert (row["parent"], row["verdict"]) == (0.001, "worse")
     assert bench_pairs.compare_failures(more, runs)["verdict"] == "ok"
+
+
+def test_bench_pairs_runs_every_workload_of_the_gate(bench_pairs, tmp_path, monkeypatch, capsys):
+    # with no --workload, each workload of the parent's file gets its pairs
+    # and then its own table
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    gate = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for d in (parent, change):
+        d.mkdir()
+        (d / "BENCHMARK.json").write_text(json.dumps(gate))
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed))
+        wall = 1.0 if checkout == parent else 0.5
+        values = {"setup_s": 0.1, "wall_s": wall, "ops_per_s": 1 / wall, "peak_rss_mb": 20.0}
+        metrics = {name: {"value": v} for name, v in values.items()}
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([str(parent), str(change), "--pairs", "2", "--seconds", "1"]) == 0
+    names = [w["name"] for w in gate["workloads"]]
+    assert calls == [
+        (side, name, seed)
+        for name in names
+        for seed, order in ((1, ("parent", "change")), (2, ("change", "parent")))
+        for side in order
+    ]
+    out = capsys.readouterr().out
+    tables = [line.split(":")[0] for line in out.splitlines() if " pairs of 1 s;" in line]
+    assert tables == names
+    assert out.count("wall_s       1 -> 0.5 (-50.0%), IQR 0, [2/2]") == len(names)
+    # a repeated --workload picks the workloads and their order
+    calls.clear()
+    argv = [str(parent), str(change), "--pairs", "1", "--workload", names[2], "--workload", names[0]]
+    assert bench_pairs.main(argv) == 0
+    assert [w for _, w, _ in calls] == [names[2]] * 2 + [names[0]] * 2

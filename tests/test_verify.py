@@ -252,15 +252,16 @@ class TestVerifyChild:
 
     @pytest.mark.parametrize("n, k", [(8, 101), (8, 357), (9, 1221)])
     def test_int_and_decimal_terms_give_one_profile(self, request, n, k):
-        # the CLI passes Decimal terms, the library API ints
+        # the CLI passes a coefficient file's lines, the library API ints
         if n == 8:
             terms = request.getfixturevalue("level8_terms")
         else:
             terms = request.getfixturevalue("level9")[1]
-        as_decimals = [Decimal(arith.to_digits(t)) for t in terms]
-        profiles = [verify_child(k, t).as_dict() for t in (terms, as_decimals)]
+        as_lines = [arith.to_digits(t) for t in terms]
+        as_decimals = [Decimal(s) for s in as_lines]
+        profiles = [verify_child(k, t).as_dict() for t in (terms, as_decimals, as_lines)]
         assert profiles[0]["status"] == CONFIRMED
-        assert json.dumps(profiles[0]) == json.dumps(profiles[1])
+        assert json.dumps(profiles[0]) == json.dumps(profiles[1]) == json.dumps(profiles[2])
 
     @pytest.mark.parametrize("n, k", [(8, 101), (8, 357), (9, 1221)])
     def test_one_reversed_pass_gives_both_continuants(
@@ -288,6 +289,29 @@ class TestVerifyChild:
         monkeypatch.setattr(cfe, "_continuant", refuse)
         with pytest.raises(DigitBudgetError):
             verify_child(357, level8_terms, max_digits=0)
+
+    def test_budget_is_refused_before_a_line_is_converted(self, monkeypatch, level8_terms):
+        # the refusal needs only the lines' lengths, so a refused child
+        # converts none of them
+        class Unconverted(Decimal):
+            def __new__(cls, value="0", context=None):
+                if isinstance(value, str):
+                    raise AssertionError("a line was converted")
+                return super().__new__(cls, value, context)
+
+        lines = [arith.to_digits(t) for t in level8_terms]
+        monkeypatch.setattr(verify, "Decimal", Unconverted)
+        with pytest.raises(DigitBudgetError):
+            verify_child(357, lines, max_digits=0)
+        with pytest.raises(AssertionError, match="converted"):
+            verify_child(357, lines)
+
+    @pytest.mark.parametrize("line", ["", "x", " 7", "07", "00", "7.0", "7.", "1_0", "1e2", "-1e3", "NaN"])
+    def test_rejects_a_malformed_line(self, level8_terms, line):
+        lines = [arith.to_digits(t) for t in level8_terms[:102]]
+        lines[50] = line
+        with pytest.raises(ValueError, match=f"term 50: not a decimal coefficient: {line!r}"):
+            verify_child(101, lines)
 
     def test_rejects_a_fractional_decimal_term(self, level8_terms):
         terms = [Decimal(t) for t in level8_terms[:102]]

@@ -190,8 +190,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_child(args: argparse.Namespace) -> int:
     k = args.coefficient_index
     with open(args.coefficients, newline="") as fp:
-        lines = cfe._coefficient_lines(fp)[: k + 1]  # verify_child reads terms 0..k only
-    profile = verify.verify_child(k, lines, max_digits=args.max_digits)
+        # verify_child reads lines 0..k only; passed with no name here, they
+        # are freed as soon as it has converted them
+        profile = verify.verify_child(
+            k, cfe._coefficient_lines(fp)[: k + 1], max_digits=args.max_digits
+        )
     return _emit_profile(profile, args)
 
 

@@ -435,8 +435,8 @@ def verify_child(
             else arith.to_decimal(t)
             for t in terms[: k + 1]
         ]
-    has_child = k < len(terms)
-    del terms  # where this frame holds a list's only reference, its lines go once converted
+    # lines passed with no other reference are freed once converted below
+    del terms
     lengths = [len(t) if isinstance(t, str) else t.adjusted() + 1 for t in head]
     maxima = generations.find_hwms(lengths[:k])
     if len(maxima) < 2:
@@ -485,7 +485,7 @@ def verify_child(
     ]
 
     child_len = None
-    if has_child:
+    if k < len(head):  # the child's own term was given
         child_len = lengths[k]
         checks.append(_check("child_length", p_len, child_len))
 

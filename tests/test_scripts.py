@@ -125,6 +125,6 @@ def test_bench_pairs_runs_every_workload_of_the_gate(bench_pairs, tmp_path, monk
     assert out.count("wall_s       1 -> 0.5 (-50.0%), IQR 0, [2/2]") == len(names)
     # a repeated --workload picks the workloads and their order
     calls.clear()
-    argv = [str(parent), str(change), "--pairs", "1", "--workload", names[2], "--workload", names[0]]
-    assert bench_pairs.main(argv) == 0
+    picked = ["--workload", names[2], "--workload", names[0]]
+    assert bench_pairs.main([str(parent), str(change), "--pairs", "1", *picked]) == 0
     assert [w for _, w, _ in calls] == [names[2]] * 2 + [names[0]] * 2

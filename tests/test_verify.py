@@ -306,7 +306,9 @@ class TestVerifyChild:
         with pytest.raises(AssertionError, match="converted"):
             verify_child(357, lines)
 
-    @pytest.mark.parametrize("line", ["", "x", " 7", "07", "00", "7.0", "7.", "1_0", "1e2", "-1e3", "NaN"])
+    @pytest.mark.parametrize(
+        "line", ["", "x", " 7", "07", "00", "7.0", "7.", "1_0", "1e2", "-1e3", "NaN"]
+    )
     def test_rejects_a_malformed_line(self, level8_terms, line):
         lines = [arith.to_digits(t) for t in level8_terms[:102]]
         lines[50] = line

@@ -332,17 +332,37 @@ COMMANDS = (
 )
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser for one command line, argv (sys.argv[1:] when None).
+# The top-level help flag as argparse reads it: any token that begins with -h
+# (-hh packs a second -h and prints help, -hv is an error), and the
+# abbreviations of --help that allow_abbrev accepts.
+_LONG_HELP = ("--h", "--he", "--hel", "--help")
 
-    Every subcommand is registered, so top-level help, usage and an
-    unknown command read the same for any argv. Options go only to the
-    subcommands named by a token of argv: argparse picks a subparser by an
-    exact token alone, so the one that parses is always complete, and a
-    call does not pay for the other six. Handlers are looked up by name
-    here, not bound at import, so a rebound cmd_* attribute is the one
-    that runs."""
-    tokens = set(sys.argv[1:] if argv is None else argv)
+
+def _commands_for(argv: list[str]) -> tuple:
+    """The COMMANDS entries a parse of argv needs: those a token names, or
+    all of them for a help request or a line that names no command, where
+    argparse prints or reports the whole list."""
+    tokens = set(argv)
+    named = tuple(c for c in COMMANDS if c[0] in tokens)
+    if not named or any(t.startswith("-h") or t in _LONG_HELP for t in tokens):
+        return COMMANDS
+    return named
+
+
+def build_parser(
+    argv: list[str] | None = None, commands: tuple | None = None
+) -> argparse.ArgumentParser:
+    """The parser for one command line, argv (sys.argv[1:] when None), with a
+    subparser for each entry of commands (by default _commands_for(argv)).
+
+    argparse picks a subparser by an exact token alone, so a parser that
+    holds only the named commands accepts argv exactly when the one with all
+    seven does, and gives the same namespace; only help and some usage
+    errors list the commands (see _parse_args). A call does not pay for the
+    subparsers it cannot reach. Handlers are looked up by name here, not
+    bound at import, so a rebound cmd_* attribute is the one that runs."""
+    if commands is None:
+        commands = _commands_for(sys.argv[1:] if argv is None else argv)
     parser = _Parser(
         prog="champcfe",
         description="Champernowne base-10 continued-fraction toolkit",
@@ -354,19 +374,32 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         help=f"digit budget override (also env {ENV_BUDGET})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, options in COMMANDS:
+    for name, help_text, options in commands:
         p = sub.add_parser(name, help=help_text)
-        if name in tokens:
-            for flag, kwargs in options:
-                p.add_argument(flag, **kwargs)
-            p.set_defaults(handler=globals()[f"cmd_{name}"])
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=globals()[f"cmd_{name}"])
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser(argv)
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the parser of the commands it names. After a usage
+    error from that parser, argv is parsed again with all seven commands,
+    which raises the same error as the full parser words it: an "invalid
+    choice" lists every command."""
+    commands = _commands_for(argv)
     try:
-        args = parser.parse_args(argv)
+        return build_parser(argv, commands).parse_args(argv)
+    except _UsageError:
+        if commands is COMMANDS:
+            raise
+        return build_parser(argv, COMMANDS).parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _parse_args(argv)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     except _UsageError as exc:

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import platform
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from champcfe import cfe, cli, predict, verify
 from champcfe.cli import build_parser, main
@@ -465,13 +469,96 @@ class TestErrors:
         assert "error:" in err
 
 
+def subparser_dests(parser) -> dict:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+
+
+def parse_outcome(parse, argv: list[str]) -> tuple:
+    """What parse(argv) gives: the namespace, the usage error, or the exit
+    code and stdout of help."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "ok", vars(parse(argv))
+    except cli._UsageError as exc:
+        return "usage", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+OPTION_VALUES = ["0", "4", "7", "101", "-1", "x", "text", "json", "csv"]
+HELP_SPELLINGS = ["-h", "-hh", "-hv", "--h", "--he", "--hel", "--help"]
+ARGV_TOKENS = sorted(
+    {name for name, _, _ in cli.COMMANDS}
+    | {flag for _, _, options in cli.COMMANDS for flag, _ in options}
+    | set(HELP_SPELLINGS)
+    | {"--help=1", "--max-digits", "frobnicate", "--bogus", "-", "--"}
+    | set(OPTION_VALUES)
+)
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """Mostly well-formed lines: maybe --max-digits, then a command and most
+    of its options, each with a value it accepts where it takes one, and up
+    to two tokens of ARGV_TOKENS put in anywhere."""
+    name, _, options = draw(st.sampled_from(cli.COMMANDS))
+    words = [name]
+    for flag, kwargs in options:
+        if draw(st.integers(0, 3)):
+            words.append(flag)
+            if kwargs.get("action") != "store_true":
+                ints = ["4", "7", "101"] if kwargs.get("type") is int else ["c8.txt", "verify"]
+                words.append(draw(st.sampled_from(kwargs.get("choices", ints))))
+    if draw(st.booleans()):
+        words[:0] = ["--max-digits", draw(st.sampled_from(["0", "101"]))]
+    for _ in range(draw(st.integers(0, 2))):
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(ARGV_TOKENS)))
+    return words
+
+
 class TestParser:
     def test_only_the_named_subcommand_gets_options(self):
-        parser = build_parser(["predict", "--hwm", "7"])
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        dests = {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
-        assert dests.pop("predict") == ["help", "hwm", "child", "format", "out"]
-        assert dests == {name: ["help"] for name, _, _ in cli.COMMANDS if name != "predict"}
+        dests = subparser_dests(build_parser(["predict", "--hwm", "7"]))
+        assert dests == {"predict": ["help", "hwm", "child", "format", "out"]}
+        assert list(subparser_dests(build_parser(["--hwm", "predict"]))) == ["predict"]
+        every = [name for name, _, _ in cli.COMMANDS]
+        for argv in ([], ["--help"], ["frobnicate"], *([h, "predict"] for h in HELP_SPELLINGS)):
+            assert list(subparser_dests(build_parser(argv))) == every
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["predict", "--hwm", "7", "--format", "json"], 2),
+            (["--help"], 8),
+            (["frobnicate", "--out", "predict"], 10),  # one, then all seven again
+        ],
+        ids=["predict", "help", "usage-error"],
+    )
+    def test_parsers_built_per_call(self, monkeypatch, capsys, argv, built):
+        """Counts constructions, not time: the parent and one subparser per
+        command the parser holds (add_subparsers makes them of the parent's
+        class)."""
+        made = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        main(argv)
+        capsys.readouterr()
+        assert len(made) == built
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=7) | command_lines())
+    def test_the_per_call_parse_agrees_with_the_full_parser(self, argv):
+        def full(argv):
+            return build_parser(argv, cli.COMMANDS).parse_args(argv)
+
+        assert parse_outcome(cli._parse_args, argv) == parse_outcome(full, argv)
 
     def test_a_command_name_as_an_option_value_runs_the_command(
         self, capsys, tmp_path, monkeypatch

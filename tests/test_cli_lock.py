@@ -8,7 +8,8 @@ case locks the pair (stdout, written coefficient file), recorded before
 the odd-index split moved into cfe.hwm_expansion; `{out}` is that file.
 The help and usage-error cases lock stdout and stderr respectively, at
 COLUMNS=80 on CPython 3.11, recorded before the parser was built from a
-command table.
+command table; the last three help cases and the last four usage-error
+cases were recorded before it held only the commands argv names.
 """
 
 import hashlib
@@ -53,7 +54,9 @@ COMMANDS = ("digits", "predict", "compute", "verify", "classify", "child", "benc
 
 
 def help_cases() -> list[str]:
-    return ["--help"] + [f"{name} --help" for name in COMMANDS]
+    named = [f"{name} --help" for name in COMMANDS]
+    # abbreviated and repeated help flags before a command
+    return ["--help"] + named + ["--hel predict", "-hh predict", "--h predict --hwm 7"]
 
 
 def usage_error_cases() -> list[str]:
@@ -65,6 +68,10 @@ def usage_error_cases() -> list[str]:
         "predict --hwm 7 --format xml",
         "verify",
         "--max-digits x verify --hwm 4",
+        "frobnicate --out predict",
+        "predict --hwm 7 verify",
+        "--max-digits 5",
+        "-hv predict",
     ]
 
 
